@@ -9,9 +9,9 @@ from .framework import (
     TaskArrangementFramework,
     migrate_config_tree,
 )
-from .stacked import StackedForward, stack_signature, stackable
+from .stacked import StackedForward, fused_q_values, stack_signature, stackable
 from .trainer import AsyncTrainer, SnapshotNetwork, SyncTrainer, TrainerLoop
-from .vectorized import decide_lockstep, fused_q_values, fused_train_steps, observe_lockstep
+from .vectorized import decide_lockstep, fused_train_steps, observe_lockstep
 from .interfaces import ArrangementPolicy
 from .learner import DoubleDQNLearner, TrainStepReport
 from .predictor import FutureStatePredictorR, FutureStatePredictorW, expiry_branches

@@ -170,8 +170,5 @@ class DQNAgent:
         if len(self.memory) == 0:
             return None
         report = self.learner.train_step(self.memory)
-        if report is not None:
-            self.diagnostics.train_steps += 1
-            self.diagnostics.last_loss = report.loss
-            self.diagnostics.losses.append(report.loss)
+        self.record_report(report)
         return report

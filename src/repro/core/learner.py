@@ -25,6 +25,7 @@ import numpy as np
 from ..nn import Adam, Tensor, no_grad
 from .qnetwork import SetQNetwork
 from .replay import PrioritizedReplayMemory, ReplayMemory, Transition
+from .vectorized import TrainJob, bellman_targets, gradient_steps
 
 __all__ = ["DoubleDQNLearner", "TrainStepReport"]
 
@@ -91,71 +92,15 @@ class DoubleDQNLearner:
             expected_future += probability * float(target_values[best_action])
         return float(transition.reward) + self.gamma * expected_future
 
-    @no_grad()
     def td_targets_batch(self, transitions: list[Transition]) -> np.ndarray:
-        """Revised Bellman targets for a whole batch in two batched forwards.
+        """Revised Bellman targets for a whole batch in batched forwards.
 
-        Every non-empty future-state branch of every transition is flattened
-        into one padded mega-batch; a single batched *online* forward selects
-        the best future action per branch and the *target* network evaluates
-        it (double Q-learning), instead of two forwards per branch.  Target
-        Q-vectors are additionally memoised on the transition (the target
-        network is frozen between hard syncs and ``future_states`` is
-        immutable), so in steady state only branches that have never been
-        seen since the last sync cost a target forward.  Matches
-        :meth:`td_target` to float tolerance.
+        The one-learner call of :func:`repro.core.vectorized.bellman_targets`:
+        all non-empty future-state branches go through one padded *online*
+        forward and the not-yet-memoised ones through one padded *target*
+        forward.  Matches :meth:`td_target` to float tolerance.
         """
-        rewards = np.array([t.reward for t in transitions], dtype=np.float64)
-        branch_states = []
-        branch_owner: list[int] = []
-        branch_prob: list[float] = []
-        branch_source: list[tuple[Transition, int]] = []
-        for i, transition in enumerate(transitions):
-            for slot, (probability, future_state) in enumerate(transition.future_states):
-                if future_state.num_tasks == 0:
-                    continue
-                branch_states.append(future_state)
-                branch_owner.append(i)
-                branch_prob.append(probability)
-                branch_source.append((transition, slot))
-        if not branch_states:
-            return rewards
-
-        total = len(branch_states)
-        version = self._target_version
-        uncached = [
-            j
-            for j, (transition, _) in enumerate(branch_source)
-            if transition.target_cache_version != version
-        ]
-        if uncached:
-            fresh = self.target.forward_batch([branch_states[j] for j in uncached]).numpy()
-            for row, j in enumerate(uncached):
-                transition, slot = branch_source[j]
-                if transition.target_cache_version != version:
-                    transition.target_cache = [None] * len(transition.future_states)
-                    transition.target_cache_version = version
-                transition.target_cache[slot] = fresh[row, : branch_states[j].num_tasks].copy()
-
-        online_values = self.online.forward_batch(branch_states).numpy()
-
-        # Restrict the argmax to each branch's real tasks (rows beyond
-        # num_tasks are padding added by the batching).
-        counts = np.array([state.num_tasks for state in branch_states])
-        columns = np.arange(online_values.shape[1])
-        padded = columns[np.newaxis, :] >= counts[:, np.newaxis]
-        best_actions = np.argmax(np.where(padded, -np.inf, online_values), axis=1)
-        branch_values = np.empty(total, dtype=np.float64)
-        for j, (transition, slot) in enumerate(branch_source):
-            branch_values[j] = transition.target_cache[slot][best_actions[j]]
-
-        expected_future = np.zeros(len(transitions), dtype=np.float64)
-        np.add.at(
-            expected_future,
-            np.asarray(branch_owner),
-            np.asarray(branch_prob) * branch_values,
-        )
-        return rewards + self.gamma * expected_future
+        return bellman_targets([(self, transitions)])[0]
 
     def td_error(self, transition: Transition) -> float:
         """Signed TD error of ``transition`` under the current networks."""
@@ -169,51 +114,22 @@ class DoubleDQNLearner:
     ) -> TrainStepReport | None:
         """Sample a batch, perform one gradient step, refresh priorities.
 
-        This is the batched engine: all TD targets come from two batched
+        This is the batched engine: all TD targets come from batched
         forwards (:meth:`td_targets_batch`) and all predictions plus the
         weighted loss form **one** autograd graph over a padded
-        ``(B, rows, dim)`` mega-batch, instead of ``O(batch_size)`` separate
-        graphs.  Numerically it matches :meth:`train_step_unbatched` (same
-        RNG draws, same targets to float tolerance).
+        ``(B, rows, dim)`` mega-batch — the one-job call of
+        :func:`repro.core.vectorized.gradient_steps`.  Numerically it
+        matches :meth:`train_step_unbatched` (same RNG draws, same targets
+        to float tolerance).
 
         Returns ``None`` when the memory is still empty.
         """
         if len(memory) == 0:
             return None
         transitions, indices, weights = memory.sample(self.batch_size)
-        return self.train_step_on(memory, transitions, indices, weights)
-
-    def train_step_on(
-        self,
-        memory: ReplayMemory | PrioritizedReplayMemory,
-        transitions: list[Transition],
-        indices: np.ndarray,
-        weights: np.ndarray,
-        targets: np.ndarray | None = None,
-    ) -> TrainStepReport:
-        """One gradient step on an already-sampled batch.
-
-        The tail of :meth:`train_step` after sampling, split out so the
-        episode-vectorized group trainer (which samples every replica first,
-        then fuses same-shaped forwards across replicas) can drive the exact
-        same update path.  ``targets`` may be precomputed (the group trainer
-        fuses the target forwards too); ``None`` computes them here.
-        """
-        if targets is None:
-            targets = self.td_targets_batch(transitions)
-
-        values = self.online.forward_batch([t.state for t in transitions])
-        actions = np.array([t.action_index for t in transitions], dtype=np.int64)
-        stacked = values[np.arange(len(transitions)), actions]
-
-        # Targets and IS weights join the loss graph in the network's compute
-        # dtype, so a float32 network never silently promotes back to float64.
-        dtype = self.online.dtype
-        weight_tensor = Tensor(np.asarray(weights, dtype=dtype))
-        diff = stacked - Tensor(np.asarray(targets, dtype=dtype))
-        loss = (weight_tensor * diff * diff).mean()
-
-        return self._apply_update(memory, loss, targets, stacked.numpy(), indices, len(transitions))
+        targets = self.td_targets_batch(transitions)
+        job = TrainJob(self, memory, transitions, indices, weights, targets)
+        return gradient_steps([job])[0]
 
     def train_step_unbatched(
         self, memory: ReplayMemory | PrioritizedReplayMemory
@@ -241,22 +157,10 @@ class DoubleDQNLearner:
         diff = stacked - Tensor(np.asarray(targets, dtype=dtype))
         loss = (weight_tensor * diff * diff).mean()
 
-        return self._apply_update(memory, loss, targets, stacked.numpy(), indices, len(transitions))
-
-    def _apply_update(
-        self,
-        memory: ReplayMemory | PrioritizedReplayMemory,
-        loss: Tensor,
-        targets: np.ndarray,
-        predictions: np.ndarray,
-        indices: np.ndarray,
-        batch_size: int,
-    ) -> TrainStepReport:
-        """Backprop ``loss``, clip, step, refresh priorities and sync targets."""
         self.optimizer.zero_grad()
         loss.backward()
         return self._finish_update(
-            memory, float(loss.item()), targets, predictions, indices, batch_size
+            memory, float(loss.item()), targets, stacked.numpy(), indices, len(transitions)
         )
 
     def _finish_update(
@@ -270,10 +174,10 @@ class DoubleDQNLearner:
     ) -> TrainStepReport:
         """Clip, step, refresh priorities and sync targets — gradients already set.
 
-        Shared by the serial path (after its own ``backward``) and the
-        episode-vectorized group trainer, whose single backward over the
-        stacked graph has already deposited this learner's gradients into the
-        optimiser's flat buffer.
+        Called by :func:`repro.core.vectorized.gradient_steps`, whose
+        backward over the stacked graph has already deposited this learner's
+        gradients into the optimiser's flat buffer, and by the
+        :meth:`train_step_unbatched` reference after its own ``backward``.
         """
         # Single reduction over the optimizer's flat gradient buffer; the
         # scaled flat gradient is exactly what the fused step consumes.

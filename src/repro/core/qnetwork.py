@@ -28,48 +28,12 @@ from ..nn import (
     MultiHeadSelfAttention,
     RowwiseFeedForward,
     Tensor,
-    no_grad,
     resolve_dtype,
 )
-from .state import StateMatrix
+from .stacked import fused_q_values, q_values_batch
+from .state import StateMatrix, pad_state_batch
 
 __all__ = ["SetQNetwork", "pad_state_batch"]
-
-
-def pad_state_batch(
-    states: Sequence[StateMatrix], dtype=np.float64
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a list of :class:`StateMatrix` into one padded ``(B, rows, dim)`` batch.
-
-    States are zero-padded to the largest row count in the batch (at least 1,
-    so that the attention softmax always has a key axis to normalise over);
-    the returned boolean mask of shape ``(B, rows)`` marks padding rows —
-    both rows added here and rows that were already padding inside a state.
-    ``dtype`` is the batch's floating dtype (the owning network's compute
-    precision).
-    """
-    if not states:
-        raise ValueError("pad_state_batch requires at least one state")
-    shape = states[0].matrix.shape
-    if shape[0] > 0 and all(state.matrix.shape == shape for state in states):
-        # Uniform shapes (the steady state under a fixed ``max_tasks``): one
-        # C-level stack instead of a python row-copy loop, same values.
-        batch = np.array([state.matrix for state in states], dtype=dtype)
-        return batch, np.array([state.mask for state in states])
-    rows = max(1, max(state.matrix.shape[0] for state in states))
-    row_dim = shape[1]
-    batch = np.zeros((len(states), rows, row_dim), dtype=dtype)
-    mask = np.ones((len(states), rows), dtype=bool)
-    for i, state in enumerate(states):
-        count = state.matrix.shape[0]
-        if state.matrix.shape[1] != row_dim:
-            raise ValueError(
-                f"state {i} has row dim {state.matrix.shape[1]}, expected {row_dim}"
-            )
-        if count:
-            batch[i, :count] = state.matrix
-            mask[i, :count] = state.mask
-    return batch, mask
 
 
 class SetQNetwork(Module):
@@ -155,21 +119,21 @@ class SetQNetwork(Module):
         return self.forward(Tensor(batch), mask=mask)
 
     # ------------------------------------------------------------------ #
-    @no_grad()
     def q_values(self, state: StateMatrix) -> np.ndarray:
-        """Inference helper: Q values for the *real* tasks of ``state`` (no grad)."""
-        if state.num_tasks == 0:
-            return np.zeros(0, dtype=self.dtype)
-        values = self.forward(state.matrix, mask=state.mask)
-        return values.numpy()[: state.num_tasks].copy()
+        """Inference helper: Q values for the *real* tasks of ``state``.
 
-    @no_grad()
+        Scored through the raw-numpy executor with one network
+        (:func:`repro.core.stacked.fused_q_values`), bit-identical to
+        :meth:`forward` on the state matrix.
+        """
+        return fused_q_values([(self, state)])[0]
+
     def q_values_batch(self, states: Sequence[StateMatrix]) -> list[np.ndarray]:
-        """Batched inference helper: per-state Q value arrays for the real tasks."""
-        if not states:
-            return []
-        values = self.forward_batch(states).numpy()
-        return [values[i, : state.num_tasks].copy() for i, state in enumerate(states)]
+        """Batched inference helper: per-state Q value arrays for the real tasks.
+
+        One padded raw-numpy forward, bit-identical to :meth:`forward_batch`.
+        """
+        return q_values_batch(self, states)
 
     def max_q(self, state: StateMatrix) -> float:
         """``max_a Q(s, a)`` over the real tasks (0 when the pool is empty)."""

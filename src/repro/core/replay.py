@@ -395,10 +395,20 @@ class PrioritizedReplayMemory:
         # the former per-slot scalar draws), then a batched tree descent.
         lows = np.arange(count, dtype=np.float64) * segment
         targets = self.rng.uniform(lows, lows + segment)
-        indices = np.minimum(self._tree.find_batch(targets), len(self._storage) - 1)
+        return self._finish_sample(self._tree.find_batch(targets))
+
+    def _finish_sample(
+        self, leaves: np.ndarray
+    ) -> tuple[list[Transition], np.ndarray, np.ndarray]:
+        """Turn descended tree leaves into a sample: clamp the indices, compute
+        the importance-sampling weights, anneal β and gather the transitions.
+
+        Shared by :meth:`sample` and :func:`sample_fused`.
+        """
+        indices = np.minimum(leaves, len(self._storage) - 1)
         priorities = np.maximum(self._tree.get_batch(indices), 1e-12)
 
-        probabilities = priorities / total
+        probabilities = priorities / self._tree.total
         weights = (len(self._storage) * probabilities) ** (-self.beta)
         weights /= weights.max()
         self.beta = min(1.0, self.beta + self.beta_increment)
@@ -504,13 +514,5 @@ def sample_fused(
             values = np.where(go_left, values, values - left_sums)
         leaves = nodes - leaf_count
         for m, i in enumerate(members):
-            memory = memories[i]
-            indices = np.minimum(leaves[m], len(memory._storage) - 1)
-            priorities = np.maximum(trees[m, indices + leaf_count], 1e-12)
-            probabilities = priorities / totals[m]
-            weights = (len(memory._storage) * probabilities) ** (-memory.beta)
-            weights /= weights.max()
-            memory.beta = min(1.0, memory.beta + memory.beta_increment)
-            transitions = [memory._storage[int(index)] for index in indices]
-            results[i] = (transitions, indices, weights)
+            results[i] = memories[i]._finish_sample(leaves[m])
     return results

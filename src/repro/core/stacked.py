@@ -1,51 +1,59 @@
-"""Replica-stacked execution of several same-shaped :class:`SetQNetwork`\\ s.
+"""The Q-network executor: one forward over N ≥ 1 stacked parameter sets.
 
-The episode-vectorized platform advances N independent replicas in lockstep.
-Each replica owns its *own* Q-network (weights diverge after the first
-update), so their forwards cannot share one GEMM with a single weight matrix.
-They can, however, share one *stacked* gufunc call: numpy evaluates a
-``(N, m, k) @ (N, k, n)`` matmul as N independent 2-D GEMMs whose per-slice
-results are bit-identical to calling each 2-D matmul separately (pinned by
-``tests/core/test_stacked_equivalence.py``).  This module rebuilds the
-Q-network's forward graph on ``(N, …)``-stacked inputs with ``(N, …)``-stacked
-parameters such that every operation is *slice-isomorphic* to the serial
-network's — same per-replica operand shapes, same reduction lengths, same op
-order — which is what makes a vectorized replica bit-identical to its serial
-run rather than merely close.
+Every production forward of :class:`~repro.core.qnetwork.SetQNetwork` runs
+here.  The serial paths — ``SetQNetwork.q_values``/``q_values_batch``,
+``DoubleDQNLearner.train_step``/``td_targets_batch`` and
+:class:`~repro.core.trainer.SnapshotNetwork` — are calls with one network,
+whose parameter stack is a zero-copy ``(1, …)`` view of its arrays.
+Lockstep replicas (:mod:`repro.core.vectorized`) and same-tick serve
+batching (:mod:`repro.serve.batching`) are the same calls with N > 1.  The
+``nn``-layer ``SetQNetwork.forward`` stays as the reference the equivalence
+tests compare against.
 
-Two mirror modes exist, because the serial network is called with two input
-ranks and the GEMM shapes must match exactly:
+numpy evaluates a ``(N, m, k) @ (N, k, n)`` matmul as N independent 2-D
+GEMMs whose per-slice results are bit-identical to the separate 2-D matmuls
+(pinned by ``tests/core/test_stacked_equivalence.py``).  The forward below is
+*slice-isomorphic* to the reference: per replica it has the same operand
+shapes, reduction lengths and op order.  So each slice equals the reference
+bit for bit, and a replica's numbers never depend on which other replicas
+shared its call.
 
-* the *single* mirror matches ``SetQNetwork.q_values`` / ``forward(matrix,
-  mask)`` on one 2-D state per replica;
-* the *batch* mirror matches ``SetQNetwork.forward_batch`` on one padded
-  ``(B, rows, dim)`` batch per replica (``Linear`` flattens the per-replica
-  leading dims into the same single GEMM the serial layer launches).
+Inputs carry the replica axis first: ``(N, rows, dim)`` holds one state per
+network (decisions), ``(N, B, rows, dim)`` one padded batch per network
+(Bellman targets and the train step).  The same layer code runs on two
+operand kinds, with the same numpy calls in the same order:
 
-Each mirror additionally exists in two implementations with identical
-numbers: a :class:`repro.nn.Tensor` graph (used when gradients are needed —
-the fused train step) and a raw-numpy fast path (used for inference — fused
-candidate scoring and Bellman-target forwards), which performs the exact
-same numpy calls in the exact same order without allocating graph nodes.
+* raw ndarrays for inference, which allocate no graph nodes;
+* :class:`repro.nn.Tensor`\\ s for the train step (``requires_grad=True``),
+  after which :meth:`StackedForward.scatter_gradients` deposits each
+  replica's gradient slice into its own network's parameters.
 
-All replicas of one call must share the per-replica operand shape — state
-matrices with a common fixed row count (``FrameworkConfig.max_tasks``) make
-that the common case; callers group work by shape and fall back to serial
-calls for singletons.
+All networks of one call share an architecture (:func:`stack_signature`) and
+a per-replica operand shape.  :func:`fused_q_values` groups decision jobs by
+both; a group of one is the serial call.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ..nn import Tensor, no_grad
+from ..nn import Tensor
 from ..nn.functional import scaled_dot_product_attention
-from .qnetwork import SetQNetwork
-from .state import StateMatrix
+from .state import StateMatrix, pad_state_batch
 
-__all__ = ["StackedForward", "stackable", "stack_signature"]
+if TYPE_CHECKING:  # pragma: no cover - qnetwork imports this module
+    from .qnetwork import SetQNetwork
+
+__all__ = [
+    "StackedForward",
+    "fused_q_values",
+    "q_values_batch",
+    "stack_parameters",
+    "stack_signature",
+    "stackable",
+]
 
 
 def _parameter_map(network: SetQNetwork) -> dict:
@@ -86,36 +94,77 @@ def stackable(networks: Sequence[SetQNetwork]) -> bool:
     return all(stack_signature(network) == first for network in networks[1:])
 
 
+def stack_parameters(
+    parameter_sets: Sequence[Mapping[str, np.ndarray]]
+) -> dict[str, np.ndarray]:
+    """Stack per-network ``name → array`` maps along a new leading replica axis.
+
+    One set stacks as zero-copy ``(1, …)`` views, so a serial forward reads
+    the live (or snapshot) buffers without copying them.  Stack per call:
+    a view taken before a buffer is replaced keeps reading the old one.
+    """
+    if len(parameter_sets) == 1:
+        return {name: array[np.newaxis] for name, array in parameter_sets[0].items()}
+    return {
+        name: np.array([parameters[name] for parameters in parameter_sets])
+        for name in parameter_sets[0]
+    }
+
+
+def _attend(
+    queries: np.ndarray, keys: np.ndarray, values: np.ndarray, key_mask: np.ndarray | None
+) -> np.ndarray:
+    """Raw-numpy twin of ``scaled_dot_product_attention`` + ``Tensor.softmax``.
+
+    The scalar scale joins in the operands' dtype, padded keys are filled
+    with -1e9 and the softmax is the shifted exp-normalise — the graph's
+    numpy calls in the graph's order.
+    """
+    scores = (queries @ np.swapaxes(keys, -1, -2)) * np.asarray(
+        1.0 / float(np.sqrt(queries.shape[-1])), dtype=queries.dtype
+    )
+    if key_mask is not None:
+        scores = np.where(np.broadcast_to(key_mask, scores.shape), -1e9, scores)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exps = np.exp(shifted)
+    return (exps / exps.sum(axis=-1, keepdims=True)) @ values
+
+
 class StackedForward:
     """One fused forward over N same-architecture networks.
 
-    Parameters are gathered (stacked along a new leading axis) at
-    construction time, so build a fresh instance per call site whenever the
-    underlying parameters may have changed (after any optimiser step).  With
-    ``requires_grad=True`` the stacked parameters join the autograd graph
-    and :meth:`scatter_gradients` deposits each replica's slice into its own
-    network's parameters afterwards — exactly the values a serial backward
-    would have produced.
+    Parameters are stacked at construction, from the networks' live arrays
+    or from ``parameters`` (one ``name → array`` map per network, e.g. a
+    snapshot's frozen buffers).  Build a fresh instance per call whenever
+    the parameters may have changed.  With ``requires_grad=True`` the
+    stacked parameters join the autograd graph and :meth:`scatter_gradients`
+    deposits each replica's slice into its own network's parameters
+    afterwards — exactly the values a serial backward would have produced.
     """
 
-    def __init__(self, networks: Sequence[SetQNetwork], requires_grad: bool = False) -> None:
+    def __init__(
+        self,
+        networks: Sequence[SetQNetwork],
+        requires_grad: bool = False,
+        parameters: Sequence[Mapping[str, np.ndarray]] | None = None,
+    ) -> None:
         if not networks:
             raise ValueError("StackedForward requires at least one network")
         if not stackable(networks):
             raise ValueError("networks differ in architecture and cannot be stacked")
-        self.networks = list(networks)
-        self.count = len(self.networks)
+        self.count = len(networks)
         self.num_heads = networks[0].num_heads
         self.head_dim = networks[0].hidden_dim // networks[0].num_heads
         self.dtype = networks[0].dtype
-        self.requires_grad = requires_grad
-        self._per_network = [_parameter_map(network) for network in self.networks]
-        self._arrays: dict[str, np.ndarray] = {
-            name: np.array([params[name].data for params in self._per_network])
-            for name in self._per_network[0]
-        }
+        self._per_network = [_parameter_map(network) for network in networks]
+        if parameters is None:
+            parameters = [
+                {name: param.data for name, param in params.items()}
+                for params in self._per_network
+            ]
+        self._arrays = stack_parameters(parameters)
         # Graph leaves are only needed when gradients flow; inference calls
-        # run the raw-numpy mirror on the bare arrays.
+        # run on the bare arrays.
         self._params: dict[str, Tensor] | None = (
             {name: Tensor(array, requires_grad=True) for name, array in self._arrays.items()}
             if requires_grad
@@ -123,17 +172,17 @@ class StackedForward:
         )
 
     # ------------------------------------------------------------------ #
-    # Slice-isomorphic layer mirrors (autograd graph)
+    # Slice-isomorphic layer mirrors (ndarray or Tensor operands)
     # ------------------------------------------------------------------ #
-    def _linear(self, x: Tensor, prefix: str) -> Tensor:
+    def _linear(self, x, params: dict, prefix: str):
         """Mirror of ``Linear.forward`` with an extra leading replica axis.
 
         The serial layer flattens all leading dims into one GEMM when the
         input has more than 2 dims; here everything *except* the replica axis
         is flattened, so each gufunc slice launches the identical GEMM.
         """
-        weight = self._params[f"{prefix}.weight"]
-        bias = self._params[f"{prefix}.bias"]
+        weight = params[f"{prefix}.weight"]
+        bias = params[f"{prefix}.bias"]
         lead = x.shape[1:-1]
         out_features = weight.shape[-1]
         if x.ndim > 3 and out_features == 1:
@@ -145,20 +194,21 @@ class StackedForward:
             return out + bias.reshape((self.count,) + (1,) * (x.ndim - 2) + (1,))
         if x.ndim > 3:
             x = x.reshape((self.count, -1, weight.shape[-2]))
-        out = x @ weight
         # Serial adds a (h,) bias broadcast over rows; the (N, 1, h) reshape
         # broadcasts the same way per slice (and its gradient reduction over
         # the row axis is bitwise equal to the serial axis-0 sum).
-        out = out + bias.reshape((self.count, 1, bias.shape[-1]))
+        out = x @ weight + bias.reshape((self.count, 1, out_features))
         if len(lead) > 1:
             out = out.reshape((self.count,) + lead + (out_features,))
         return out
 
-    def _rff(self, x: Tensor, prefix: str, activation: bool = True) -> Tensor:
-        out = self._linear(x, f"{prefix}.linear")
-        return out.relu() if activation else out
+    def _rff(self, x, params: dict, prefix: str, activation: bool = True):
+        out = self._linear(x, params, f"{prefix}.linear")
+        if not activation:
+            return out
+        return out.relu() if isinstance(out, Tensor) else np.maximum(out, 0.0)
 
-    def _attention(self, x: Tensor, prefix: str, mask: np.ndarray | None) -> Tensor:
+    def _attention(self, x, params: dict, prefix: str, mask: np.ndarray | None):
         """Mirror of ``MultiHeadSelfAttention.forward`` over stacked sets."""
         n = self.count
         heads = self.num_heads
@@ -168,25 +218,23 @@ class StackedForward:
         n_lead = len(lead)
         rows = x.shape[-2]
 
-        weight = self._params[f"{prefix}.in_proj_weight"]
-        bias = self._params[f"{prefix}.in_proj_bias"]
         flat = x.reshape((n, -1, embed_dim)) if x.ndim > 3 else x
-        qkv = flat @ weight + bias.reshape((n, 1, 3 * embed_dim))
-
+        qkv = flat @ params[f"{prefix}.in_proj_weight"] + params[
+            f"{prefix}.in_proj_bias"
+        ].reshape((n, 1, 3 * embed_dim))
         # (N, *lead, rows, 3, heads, head_dim) -> (3, N, *lead, heads, rows, head_dim)
         packed = qkv.reshape((n,) + lead + (rows, 3, heads, head_dim)).transpose(
             (n_lead + 2, 0)
             + tuple(range(1, n_lead + 1))
             + (n_lead + 3, n_lead + 1, n_lead + 4)
         )
-        queries, keys, values = packed.unbind(0)
-
         key_mask = None
         if mask is not None:
-            mask = np.asarray(mask, dtype=bool)
-            key_mask = mask[..., np.newaxis, np.newaxis, :]
-
-        attended = scaled_dot_product_attention(queries, keys, values, mask=key_mask)
+            key_mask = np.asarray(mask, dtype=bool)[..., np.newaxis, np.newaxis, :]
+        if isinstance(packed, Tensor):
+            attended = scaled_dot_product_attention(*packed.unbind(0), mask=key_mask)
+        else:
+            attended = _attend(packed[0], packed[1], packed[2], key_mask)
         # (N, *lead, heads, rows, hd) -> (N, *lead, rows, heads, hd) -> (N, *lead, rows, E)
         swap = (
             (0,)
@@ -194,109 +242,23 @@ class StackedForward:
             + (n_lead + 2, n_lead + 1, n_lead + 3)
         )
         merged = attended.transpose(swap).reshape((n,) + lead + (rows, embed_dim))
-        return self._linear(merged, f"{prefix}.output_proj")
+        return self._linear(merged, params, f"{prefix}.output_proj")
 
-    def _forward(self, batch: np.ndarray, mask: np.ndarray | None) -> Tensor:
-        if self._params is None:
-            raise ValueError("gradient forward requires requires_grad=True")
-        x = Tensor(np.ascontiguousarray(batch, dtype=self.dtype))
-        hidden = self._rff(x, "embed_1")
-        hidden = self._rff(hidden, "embed_2")
-        attended = self._attention(hidden, "attention_1", mask)
-        hidden = self._rff(attended + hidden, "post_attention")
-        hidden = self._attention(hidden, "attention_2", mask) + hidden
-        values = self._rff(hidden, "value_head", activation=False)
-        return values.reshape(values.shape[:-1])
-
-    # ------------------------------------------------------------------ #
-    # Raw-numpy inference mirrors (no graph, same numbers)
-    # ------------------------------------------------------------------ #
-    def _np_linear(self, x: np.ndarray, prefix: str) -> np.ndarray:
-        weight = self._arrays[f"{prefix}.weight"]
-        bias = self._arrays[f"{prefix}.bias"]
-        lead = x.shape[1:-1]
-        if x.ndim > 3 and weight.shape[-1] == 1:
-            # Keep the single-column head per batch item, like the graph
-            # mirror and serial ``Linear.forward``.
-            out = x @ weight.reshape((self.count, 1) + weight.shape[1:])
-            return out + bias.reshape((self.count,) + (1,) * (x.ndim - 2) + (1,))
-        if x.ndim > 3:
-            x = x.reshape((self.count, -1, weight.shape[-2]))
-        out = x @ weight
-        out = out + bias.reshape((self.count, 1, bias.shape[-1]))
-        if len(lead) > 1:
-            out = out.reshape((self.count,) + lead + (weight.shape[-1],))
-        return out
-
-    def _np_rff(self, x: np.ndarray, prefix: str, activation: bool = True) -> np.ndarray:
-        out = self._np_linear(x, f"{prefix}.linear")
-        return np.maximum(out, 0.0) if activation else out
-
-    def _np_attention(self, x: np.ndarray, prefix: str, mask: np.ndarray | None) -> np.ndarray:
-        n = self.count
-        heads = self.num_heads
-        head_dim = self.head_dim
-        embed_dim = heads * head_dim
-        lead = x.shape[1:-2]
-        n_lead = len(lead)
-        rows = x.shape[-2]
-
-        flat = x.reshape((n, -1, embed_dim)) if x.ndim > 3 else x
-        qkv = flat @ self._arrays[f"{prefix}.in_proj_weight"] + self._arrays[
-            f"{prefix}.in_proj_bias"
-        ].reshape((n, 1, 3 * embed_dim))
-        packed = qkv.reshape((n,) + lead + (rows, 3, heads, head_dim)).transpose(
-            (n_lead + 2, 0)
-            + tuple(range(1, n_lead + 1))
-            + (n_lead + 3, n_lead + 1, n_lead + 4)
-        )
-        queries, keys, values = packed[0], packed[1], packed[2]
-
-        # Exact mirror of scaled_dot_product_attention + Tensor.softmax: the
-        # scalar scale joins in the graph's dtype, padded keys are filled
-        # with -1e9 and the softmax is the shifted exp-normalise.
-        scores = (queries @ np.swapaxes(keys, -1, -2)) * np.asarray(
-            1.0 / float(np.sqrt(head_dim)), dtype=qkv.dtype
-        )
-        if mask is not None:
-            key_mask = np.asarray(mask, dtype=bool)[..., np.newaxis, np.newaxis, :]
-            scores = np.where(np.broadcast_to(key_mask, scores.shape), -1e9, scores)
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        exps = np.exp(shifted)
-        weights = exps / exps.sum(axis=-1, keepdims=True)
-        attended = weights @ values
-
-        swap = (
-            (0,)
-            + tuple(range(1, n_lead + 1))
-            + (n_lead + 2, n_lead + 1, n_lead + 3)
-        )
-        merged = attended.transpose(swap).reshape((n,) + lead + (rows, embed_dim))
-        return self._np_linear(merged, f"{prefix}.output_proj")
-
-    def _infer(self, batch: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    def _run(self, batch: np.ndarray, mask: np.ndarray | None, params: dict):
         x = np.ascontiguousarray(batch, dtype=self.dtype)
-        hidden = self._np_rff(x, "embed_1")
-        hidden = self._np_rff(hidden, "embed_2")
-        attended = self._np_attention(hidden, "attention_1", mask)
-        hidden = self._np_rff(attended + hidden, "post_attention")
-        hidden = self._np_attention(hidden, "attention_2", mask) + hidden
-        values = self._np_rff(hidden, "value_head", activation=False)
+        if params is self._params:
+            x = Tensor(x)
+        hidden = self._rff(x, params, "embed_1")
+        hidden = self._rff(hidden, params, "embed_2")
+        attended = self._attention(hidden, params, "attention_1", mask)
+        hidden = self._rff(attended + hidden, params, "post_attention")
+        hidden = self._attention(hidden, params, "attention_2", mask) + hidden
+        values = self._rff(hidden, params, "value_head", activation=False)
         return values.reshape(values.shape[:-1])
 
     # ------------------------------------------------------------------ #
     # Public entry points
     # ------------------------------------------------------------------ #
-    def _stack_single(self, states: Sequence[StateMatrix]) -> tuple[np.ndarray, np.ndarray]:
-        if len(states) != self.count:
-            raise ValueError(f"expected {self.count} states, got {len(states)}")
-        shape = states[0].matrix.shape
-        if any(state.matrix.shape != shape for state in states):
-            raise ValueError("stacked single-state forward requires a common state shape")
-        batch = np.array([state.matrix for state in states], dtype=self.dtype)
-        mask = np.array([state.mask for state in states])
-        return batch, mask
-
     def _stack_batches(
         self, batches: Sequence[tuple[np.ndarray, np.ndarray]]
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -304,43 +266,38 @@ class StackedForward:
             raise ValueError(f"expected {self.count} batches, got {len(batches)}")
         shape = batches[0][0].shape
         if any(batch.shape != shape for batch, _ in batches):
-            raise ValueError("stacked batch forward requires a common batch shape")
+            raise ValueError("stacked forward requires a common per-replica shape")
         stacked = np.array([batch for batch, _ in batches], dtype=self.dtype)
         mask = np.array([mask for _, mask in batches])
         return stacked, mask
 
-    def forward_single(self, states: Sequence[StateMatrix]) -> Tensor:
-        """One state per replica, mirroring the serial 2-D ``forward`` call.
-
-        All states must share one ``(rows, dim)`` shape.  Returns a
-        ``(N, rows)`` tensor whose slice ``[i]`` is bit-identical to
-        ``networks[i].forward(states[i].matrix, mask=states[i].mask)``.
-        """
-        batch, mask = self._stack_single(states)
-        return self._forward(batch, mask)
-
     def forward_batch(self, batches: Sequence[tuple[np.ndarray, np.ndarray]]) -> Tensor:
-        """One padded ``(B, rows, dim)`` batch per replica (serial 3-D mirror).
+        """Graph forward of one padded ``(B, rows, dim)`` batch per replica.
 
         ``batches`` holds per-replica ``(batch, mask)`` pairs of a common
-        shape — what :func:`repro.core.qnetwork.pad_state_batch` produced for
-        each replica.  Returns ``(N, B, rows)``.
+        shape — what :func:`repro.core.state.pad_state_batch` produced for
+        each replica.  Returns an ``(N, B, rows)`` tensor (requires
+        construction with ``requires_grad=True``).
         """
+        if self._params is None:
+            raise ValueError("gradient forward requires requires_grad=True")
         stacked, mask = self._stack_batches(batches)
-        return self._forward(stacked, mask)
+        return self._run(stacked, mask, self._params)
 
-    @no_grad()
-    def q_values_single(self, states: Sequence[StateMatrix]) -> list[np.ndarray]:
-        """Per-replica Q-value arrays, bit-identical to serial ``q_values``."""
-        batch, mask = self._stack_single(states)
-        values = self._infer(batch, mask)
-        return [values[i, : state.num_tasks].copy() for i, state in enumerate(states)]
-
-    @no_grad()
     def infer_batch(self, batches: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """Inference-only :meth:`forward_batch`: raw ``(N, B, rows)`` values."""
         stacked, mask = self._stack_batches(batches)
-        return self._infer(stacked, mask)
+        return self._run(stacked, mask, self._arrays)
+
+    def q_values_single(self, states: Sequence[StateMatrix]) -> list[np.ndarray]:
+        """One state per replica: each replica's Q values of its real tasks.
+
+        All states must share one ``(rows, dim)`` shape; result ``i`` is
+        bit-identical to ``networks[i].forward(states[i].matrix,
+        mask=states[i].mask)`` cut to the real tasks.
+        """
+        values = self.infer_batch([(state.matrix, state.mask) for state in states])
+        return [values[i, : state.num_tasks].copy() for i, state in enumerate(states)]
 
     # ------------------------------------------------------------------ #
     def scatter_gradients(self) -> None:
@@ -356,3 +313,51 @@ class StackedForward:
                 continue
             for i, params in enumerate(self._per_network):
                 params[name]._accumulate(stacked.grad[i])
+
+
+def fused_q_values(
+    jobs: Sequence[tuple[SetQNetwork, StateMatrix]],
+    parameters: Sequence[Mapping[str, np.ndarray]] | None = None,
+) -> list[np.ndarray]:
+    """``network.q_values(state)`` for many pairs, one forward per group.
+
+    Pairs whose architecture and state shape agree share one stacked
+    inference forward; a lone pair is a forward with N = 1.  ``parameters``
+    optionally gives, per pair, the ``name → array`` map to score with in
+    place of the network's live parameters (snapshot buffers).  Each result
+    is bit-identical to the reference forward on that pair alone.
+    """
+    results: list[np.ndarray | None] = [None] * len(jobs)
+    groups: dict[tuple, list[int]] = {}
+    for slot, (network, state) in enumerate(jobs):
+        if state.num_tasks == 0:
+            results[slot] = np.zeros(0, dtype=network.dtype)
+            continue
+        groups.setdefault((stack_signature(network), state.matrix.shape), []).append(slot)
+    for slots in groups.values():
+        stacked = StackedForward(
+            [jobs[slot][0] for slot in slots],
+            parameters=None if parameters is None else [parameters[slot] for slot in slots],
+        )
+        for slot, values in zip(
+            slots, stacked.q_values_single([jobs[slot][1] for slot in slots])
+        ):
+            results[slot] = values
+    return results  # type: ignore[return-value]
+
+
+def q_values_batch(
+    network: SetQNetwork,
+    states: Sequence[StateMatrix],
+    parameters: Mapping[str, np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """Per-state Q values of the real tasks, in one padded forward (N = 1).
+
+    Bit-identical to the reference ``network.forward_batch(states)``;
+    ``parameters`` scores with a snapshot's buffers instead of the live ones.
+    """
+    if not states:
+        return []
+    stacked = StackedForward([network], parameters=None if parameters is None else [parameters])
+    values = stacked.infer_batch([pad_state_batch(states, dtype=network.dtype)])[0]
+    return [values[i, : state.num_tasks].copy() for i, state in enumerate(states)]

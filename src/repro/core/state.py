@@ -11,12 +11,19 @@ their natural size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..crowd.features import FeatureSchema
 
-__all__ = ["StateMatrix", "StateTransformer", "pack_state_matrices", "unpack_state_matrices"]
+__all__ = [
+    "StateMatrix",
+    "StateTransformer",
+    "pad_state_batch",
+    "pack_state_matrices",
+    "unpack_state_matrices",
+]
 
 
 @dataclass
@@ -64,6 +71,42 @@ class StateMatrix:
         mask = np.ones(matrix.shape[0], dtype=bool)
         mask[: len(keep)] = False
         return StateMatrix(matrix=matrix, mask=mask, task_ids=[self.task_ids[i] for i in keep])
+
+
+def pad_state_batch(
+    states: Sequence[StateMatrix], dtype=np.float64
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stack a list of :class:`StateMatrix` into one padded ``(B, rows, dim)`` batch.
+
+    States are zero-padded to the largest row count in the batch (at least 1,
+    so that the attention softmax always has a key axis to normalise over);
+    the returned boolean mask of shape ``(B, rows)`` marks padding rows —
+    both rows added here and rows that were already padding inside a state.
+    ``dtype`` is the batch's floating dtype (the owning network's compute
+    precision).
+    """
+    if not states:
+        raise ValueError("pad_state_batch requires at least one state")
+    shape = states[0].matrix.shape
+    if shape[0] > 0 and all(state.matrix.shape == shape for state in states):
+        # Uniform shapes (the steady state under a fixed ``max_tasks``): one
+        # C-level stack instead of a python row-copy loop, same values.
+        batch = np.array([state.matrix for state in states], dtype=dtype)
+        return batch, np.array([state.mask for state in states])
+    rows = max(1, max(state.matrix.shape[0] for state in states))
+    row_dim = shape[1]
+    batch = np.zeros((len(states), rows, row_dim), dtype=dtype)
+    mask = np.ones((len(states), rows), dtype=bool)
+    for i, state in enumerate(states):
+        count = state.matrix.shape[0]
+        if state.matrix.shape[1] != row_dim:
+            raise ValueError(
+                f"state {i} has row dim {state.matrix.shape[1]}, expected {row_dim}"
+            )
+        if count:
+            batch[i, :count] = state.matrix
+            mask[i, :count] = state.mask
+    return batch, mask
 
 
 def pack_state_matrices(states: list[StateMatrix]) -> dict[str, np.ndarray]:

@@ -40,8 +40,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .qnetwork import pad_state_batch
-from .stacked import StackedForward, _parameter_map
+from .stacked import fused_q_values, q_values_batch
 from .state import StateMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (agent imports nothing here)
@@ -60,33 +59,28 @@ class SnapshotNetwork:
 
     All parameters live in one contiguous flat vector laid out exactly like
     the agent optimiser's flat buffer (:attr:`Optimizer._flat_params`), so
-    refreshing the snapshot is a single ``memcpy``-like copy.  Forwards run
-    through the raw-numpy inference mirror of :class:`StackedForward` with
-    ``N = 1`` — per-slice bit-identical to the serial network (pinned by
-    ``tests/core/test_stacked_equivalence.py``) — with the mirror's weight
-    stacks re-pointed at ``(1, …)`` views of the snapshot's own flat vector,
-    so a refresh instantly swaps every layer's weights without rebuilding
-    anything.
+    refreshing the snapshot is a single ``memcpy``-like copy into that
+    vector.  :attr:`parameters` maps each parameter name to its view of the
+    vector; forwards score with those views through the raw-numpy executor
+    (:mod:`repro.core.stacked`), so a refresh swaps every layer's weights
+    without rebuilding anything.
     """
 
     def __init__(self, agent: "DQNAgent") -> None:
         self._agent = agent
-        network = agent.network
+        #: The live network: the architecture to score with, never its weights.
+        self.network = agent.network
         optimizer = agent.learner.optimizer
         optimizer._adopt_strays()
         self._flat = optimizer._flat_params.copy()
-        self.dtype = network.dtype
-        self._mirror = StackedForward([network])
         segments = {
             id(param): (start, stop, shape)
             for param, start, stop, shape in optimizer._segments()
         }
-        self._mirror._arrays = {
-            name: self._flat[segments[id(param)][0] : segments[id(param)][1]].reshape(
-                (1,) + segments[id(param)][2]
-            )
-            for name, param in _parameter_map(network).items()
-        }
+        self.parameters: dict[str, np.ndarray] = {}
+        for name, param in self.network.named_parameters():
+            start, stop, shape = segments[id(param)]
+            self.parameters[name] = self._flat[start:stop].reshape(shape)
 
     def refresh(self, source: np.ndarray | None = None) -> None:
         """Copy new parameters into the snapshot (one contiguous copy).
@@ -103,17 +97,11 @@ class SnapshotNetwork:
 
     def q_values(self, state: StateMatrix) -> np.ndarray:
         """Snapshot Q-values of the real tasks (mirrors ``SetQNetwork.q_values``)."""
-        if state.num_tasks == 0:
-            return np.zeros(0, dtype=self.dtype)
-        return self._mirror.q_values_single([state])[0]
+        return fused_q_values([(self.network, state)], [self.parameters])[0]
 
     def q_values_batch(self, states: Sequence[StateMatrix]) -> list[np.ndarray]:
         """Per-state Q-value arrays in one padded forward (no autograd graph)."""
-        if not states:
-            return []
-        batch, mask = pad_state_batch(states, dtype=self.dtype)
-        values = self._mirror.infer_batch([(batch, mask)])[0]
-        return [values[i, : state.num_tasks].copy() for i, state in enumerate(states)]
+        return q_values_batch(self.network, states, self.parameters)
 
 
 class TrainerLoop:

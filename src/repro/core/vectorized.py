@@ -1,83 +1,60 @@
-"""Replica-batched decision and update paths for lockstep multi-replica runs.
+"""Fused decision and update paths over N ≥ 1 Q-networks.
 
-The episode-vectorized platform (:mod:`repro.eval.runner`) advances N
-independent replicas — different dataset seeds and/or policy instances — one
-arrival at a time, together.  At every lockstep step the replicas' framework
-policies all need (a) their candidate pools scored and (b) their freshly
-stored transitions trained on.  Both are embarrassingly batchable *across*
-replicas: this module fuses
+The serial DDQN step is this module with one learner:
+``DoubleDQNLearner.td_targets_batch`` calls :func:`bellman_targets` and
+``DoubleDQNLearner.train_step`` calls :func:`gradient_steps`, each with a
+single job.  The episode-vectorized platform (:mod:`repro.eval.runner`)
+advances N independent replicas one arrival at a time, together, and hands
+the same functions one job per replica:
 
-* the N per-replica candidate scorings into one stacked ``q_values`` forward
-  per agent role (:func:`decide_lockstep`), and
-* the N per-replica gradient steps into one stacked forward/backward per
-  agent role (:func:`observe_lockstep` → :func:`fused_train_steps`), with the
+* the N per-replica candidate scorings run as one stacked ``q_values``
+  forward per group (:func:`decide_lockstep` → :func:`fused_q_values`), and
+* the N per-replica gradient steps run as one stacked forward/backward per
+  group (:func:`observe_lockstep` → :func:`fused_train_steps`), with the
   target-side forwards of the revised Bellman targets fused the same way.
 
-Per-replica replay memories, RNG streams, explorer schedules and optimiser
-states remain completely independent — fusion only changes *how many python
-ops and gufunc launches* the work costs, not any number: every replica's
-slice of a stacked call is bit-identical to the serial call it replaces
-(see :mod:`repro.core.stacked`), which is what keeps a vectorized run
-float-for-float equal to N serial runs.
-
-Work only fuses when shapes allow it — replicas whose network architectures
-or state-matrix shapes differ at a step fall back to the serial calls for
-that step (``FrameworkConfig.max_tasks`` pins the row count and makes fusion
-the steady state).
+Jobs are grouped by architecture and padded shape; a group of one is a
+forward with N = 1.  Per-replica replay memories, RNG streams, explorer
+schedules and optimiser states remain completely independent — fusion only
+changes *how many python ops and gufunc launches* the work costs, not any
+number: every replica's slice of a stacked call is bit-identical to running
+it alone (see :mod:`repro.core.stacked`), which is what keeps a vectorized
+run float-for-float equal to N serial runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..crowd.platform import ArrivalContext, Feedback
-from ..nn import Tensor, no_grad
-from .agent import DQNAgent
-from .framework import TaskArrangementFramework
-from .learner import DoubleDQNLearner
-from .qnetwork import SetQNetwork, pad_state_batch
-from .replay import Transition, sample_fused
-from .stacked import StackedForward, stack_signature
-from .state import StateMatrix
+from ..nn import Tensor
+from .replay import sample_fused
+from .stacked import StackedForward, fused_q_values, stack_signature
+from .state import StateMatrix, pad_state_batch
+
+if TYPE_CHECKING:  # pragma: no cover - the learner imports this module
+    from ..crowd.platform import ArrivalContext, Feedback
+    from .agent import DQNAgent
+    from .framework import TaskArrangementFramework
+    from .learner import DoubleDQNLearner, TrainStepReport
+    from .qnetwork import SetQNetwork
+    from .replay import PrioritizedReplayMemory, ReplayMemory, Transition
 
 __all__ = [
+    "TrainJob",
+    "bellman_targets",
     "decide_lockstep",
-    "observe_lockstep",
     "fused_train_steps",
-    "fused_q_values",
+    "gradient_steps",
+    "observe_lockstep",
 ]
 
 
 # --------------------------------------------------------------------- #
 # Decision path
 # --------------------------------------------------------------------- #
-def fused_q_values(jobs: Sequence[tuple[SetQNetwork, StateMatrix]]) -> list[np.ndarray]:
-    """``network.q_values(state)`` for many pairs, fusing same-shaped groups.
-
-    Pairs whose (architecture, state shape) match are scored through one
-    stacked forward; singletons take the serial call.  Each result is
-    bit-identical to the serial ``q_values`` either way.
-    """
-    results: list[np.ndarray | None] = [None] * len(jobs)
-    groups: dict[tuple, list[int]] = {}
-    for slot, (network, state) in enumerate(jobs):
-        groups.setdefault((stack_signature(network), state.matrix.shape), []).append(slot)
-    for slots in groups.values():
-        if len(slots) == 1:
-            network, state = jobs[slots[0]]
-            results[slots[0]] = network.q_values(state)
-        else:
-            stacked = StackedForward([jobs[slot][0] for slot in slots])
-            for slot, values in zip(
-                slots, stacked.q_values_single([jobs[slot][1] for slot in slots])
-            ):
-                results[slot] = values
-    return results  # type: ignore[return-value]
-
-
 def decide_lockstep(
     pairs: Sequence[tuple[TaskArrangementFramework, ArrivalContext]]
 ) -> list[list[int]]:
@@ -116,227 +93,222 @@ def decide_lockstep(
 # Update path
 # --------------------------------------------------------------------- #
 @dataclass
-class _TrainJob:
-    """One agent's pre-sampled train step, awaiting (possibly fused) execution."""
+class TrainJob:
+    """One learner's sampled replay batch and its Bellman targets."""
 
-    agent: DQNAgent
     learner: DoubleDQNLearner
+    memory: ReplayMemory | PrioritizedReplayMemory
     transitions: list[Transition]
     indices: np.ndarray
     weights: np.ndarray
-    targets: np.ndarray | None = None
-    batch: np.ndarray | None = None
-    mask: np.ndarray | None = None
+    targets: np.ndarray
 
 
-def _uniform_state_shape(states: Sequence[StateMatrix]) -> tuple[int, int] | None:
-    """The common ``(rows, dim)`` of the states, or None when they are ragged."""
-    shape = states[0].matrix.shape
-    for state in states:
-        if state.matrix.shape != shape:
-            return None
-    return shape
-
-
-@no_grad()
-def _padded_group_forward(
-    networks: Sequence[SetQNetwork], state_lists: Sequence[list[StateMatrix]]
+def _infer_grouped(
+    jobs: Sequence[tuple[SetQNetwork, list[StateMatrix]]]
 ) -> list[np.ndarray]:
-    """Stacked inference forward over per-replica state lists of equal row shape.
+    """Each job's raw ``(len(states), rows)`` value block, fused by padded rows.
 
-    Lists shorter than the longest are padded with all-masked dummy states
-    along the *batch* axis (reduction lengths are untouched — only the GEMM
-    row count grows, which is bitwise row-stable on supported BLAS builds;
-    pinned by ``tests/core/test_stacked_equivalence.py``).  Returns each
-    replica's ``(len(list), rows)`` value block.
+    Every state list is padded on its own (:func:`pad_state_batch`); lists of
+    one architecture whose padded rows agree share one stacked inference
+    forward, the shorter ones padded along the *batch* axis with all-masked
+    dummy states.  That grows only the GEMM row count M, never a reduction
+    length, and GEMM rows are M-invariant for M >= 2 (pinned by
+    ``tests/core/test_stacked_equivalence.py``).  Single-row batches (M = 1,
+    which numpy hands to gemv) therefore group only with each other.  A lone
+    job runs unpadded.
     """
-    dtype = networks[0].dtype
-    longest = max(len(states) for states in state_lists)
-    batches: list[tuple[np.ndarray, np.ndarray]] = []
-    for states in state_lists:
-        batch, mask = pad_state_batch(states, dtype=dtype)
-        if batch.shape[0] < longest:
+    padded = [pad_state_batch(states, dtype=network.dtype) for network, states in jobs]
+    groups: dict[tuple, list[int]] = {}
+    for slot, ((network, _), (batch, _)) in enumerate(zip(jobs, padded)):
+        key = (stack_signature(network), batch.shape[1:], batch.shape[0] * batch.shape[1] > 1)
+        groups.setdefault(key, []).append(slot)
+    blocks: list[np.ndarray | None] = [None] * len(jobs)
+    for slots in groups.values():
+        longest = max(padded[slot][0].shape[0] for slot in slots)
+        batches = []
+        for slot in slots:
+            batch, mask = padded[slot]
             extra = longest - batch.shape[0]
-            batch = np.concatenate(
-                [batch, np.zeros((extra,) + batch.shape[1:], dtype=dtype)], axis=0
-            )
-            mask = np.concatenate(
-                [mask, np.ones((extra, mask.shape[1]), dtype=bool)], axis=0
-            )
-        batches.append((batch, mask))
-    values = StackedForward(networks).infer_batch(batches)
-    return [values[i, : len(states)] for i, states in enumerate(state_lists)]
+            if extra:
+                batch = np.concatenate(
+                    [batch, np.zeros((extra,) + batch.shape[1:], dtype=batch.dtype)]
+                )
+                mask = np.concatenate([mask, np.ones((extra, mask.shape[1]), dtype=bool)])
+            batches.append((batch, mask))
+        values = StackedForward([jobs[slot][0] for slot in slots]).infer_batch(batches)
+        for i, slot in enumerate(slots):
+            blocks[slot] = values[i, : padded[slot][0].shape[0]]
+    return blocks  # type: ignore[return-value]
 
 
 @dataclass
-class _TargetEntry:
-    """Per-job branch bookkeeping of the revised Bellman targets (mirrors
-    :meth:`DoubleDQNLearner.td_targets_batch` exactly)."""
+class _Branches:
+    """One learner's flattened future-state branches (Eq. 3 / Eq. 6)."""
 
-    job: _TrainJob
-    rewards: np.ndarray
-    branch_states: list[StateMatrix] = field(default_factory=list)
-    branch_owner: list[int] = field(default_factory=list)
-    branch_prob: list[float] = field(default_factory=list)
-    branch_source: list[tuple[Transition, int]] = field(default_factory=list)
+    learner: DoubleDQNLearner
+    slot: int
+    states: list[StateMatrix] = field(default_factory=list)
+    owner: list[int] = field(default_factory=list)
+    probability: list[float] = field(default_factory=list)
+    source: list[tuple[Transition, int]] = field(default_factory=list)
     uncached: list[int] = field(default_factory=list)
 
 
-def _finish_target_entry(entry: _TargetEntry, online_values: np.ndarray) -> None:
-    """Combine cached target values and fresh online argmaxes into targets."""
-    learner = entry.job.learner
-    branch_states = entry.branch_states
-    counts = np.array([state.num_tasks for state in branch_states])
-    columns = np.arange(online_values.shape[1])
-    padded = columns[np.newaxis, :] >= counts[:, np.newaxis]
-    best_actions = np.argmax(np.where(padded, -np.inf, online_values), axis=1)
-    branch_values = np.empty(len(branch_states), dtype=np.float64)
-    for j, (transition, slot) in enumerate(entry.branch_source):
-        branch_values[j] = transition.target_cache[slot][best_actions[j]]
-    expected_future = np.zeros(len(entry.rewards), dtype=np.float64)
-    np.add.at(
-        expected_future,
-        np.asarray(entry.branch_owner),
-        np.asarray(entry.branch_prob) * branch_values,
-    )
-    entry.job.targets = entry.rewards + learner.gamma * expected_future
+def bellman_targets(
+    requests: Sequence[tuple[DoubleDQNLearner, Sequence[Transition]]]
+) -> list[np.ndarray]:
+    """Revised Bellman targets for one transition batch per learner.
 
-
-def _compute_targets(jobs: Sequence[_TrainJob]) -> None:
-    """Fill every job's ``targets``, fusing branch forwards across replicas.
-
-    Mirrors :meth:`DoubleDQNLearner.td_targets_batch` per job — including the
-    per-transition target-network memoisation — but routes the uncached
-    target forwards and the online best-action forwards of same-shaped jobs
-    through one stacked call each.  Jobs whose branch states are ragged (no
-    common row shape) fall back to the serial method.
+    ``y_i = r_i + γ Σ_b Pr(s_b) Q̃(s_b, argmax_a Q(s_b, a))``: every
+    non-empty future-state branch of every transition is flattened; the
+    *online* network selects each branch's best real task and the *target*
+    network evaluates it (double Q-learning).  Target Q-vectors are memoised
+    on the transition (the target network is frozen between hard syncs and
+    ``future_states`` is immutable), so only branches not seen since the
+    last sync cost a target forward.  The target and online forwards of all
+    learners run through :func:`_infer_grouped`; one learner is the serial
+    :meth:`DoubleDQNLearner.td_targets_batch`, whose two forwards then run
+    unpadded.
     """
-    entries: list[_TargetEntry] = []
-    for job in jobs:
-        rewards = np.array([t.reward for t in job.transitions], dtype=np.float64)
-        entry = _TargetEntry(job=job, rewards=rewards)
-        for i, transition in enumerate(job.transitions):
-            for slot, (probability, future_state) in enumerate(transition.future_states):
+    targets: list[np.ndarray] = []
+    pending: list[_Branches] = []
+    for slot, (learner, transitions) in enumerate(requests):
+        targets.append(np.array([t.reward for t in transitions], dtype=np.float64))
+        branches = _Branches(learner, slot)
+        for i, transition in enumerate(transitions):
+            for index, (probability, future_state) in enumerate(transition.future_states):
                 if future_state.num_tasks == 0:
                     continue
-                entry.branch_states.append(future_state)
-                entry.branch_owner.append(i)
-                entry.branch_prob.append(probability)
-                entry.branch_source.append((transition, slot))
-        if not entry.branch_states:
-            job.targets = rewards
-            continue
-        entries.append(entry)
-
-    fusable: dict[tuple, list[_TargetEntry]] = {}
-    for entry in entries:
-        shape = _uniform_state_shape(entry.branch_states)
-        if shape is None:
-            entry.job.targets = entry.job.learner.td_targets_batch(entry.job.transitions)
-            continue
-        key = (stack_signature(entry.job.learner.online), shape)
-        fusable.setdefault(key, []).append(entry)
-
-    for group in fusable.values():
-        if len(group) == 1:
-            entry = group[0]
-            entry.job.targets = entry.job.learner.td_targets_batch(entry.job.transitions)
-            continue
-        # Per-entry cache probe, exactly as the serial method does it.
-        for entry in group:
-            version = entry.job.learner._target_version
-            entry.uncached = [
+                branches.states.append(future_state)
+                branches.owner.append(i)
+                branches.probability.append(probability)
+                branches.source.append((transition, index))
+        if branches.states:
+            version = learner._target_version
+            branches.uncached = [
                 j
-                for j, (transition, _) in enumerate(entry.branch_source)
+                for j, (transition, _) in enumerate(branches.source)
                 if transition.target_cache_version != version
             ]
-        cold = [entry for entry in group if entry.uncached]
-        # One stacked inference forward serves both halves of the double-DQN
-        # target: the *target* networks on each entry's uncached branches and
-        # the *online* networks on every branch (for the best-action argmax).
-        # Same-architecture networks stack regardless of which agent they
-        # belong to, so both halves ride one gufunc launch.
-        blocks = _padded_group_forward(
-            [entry.job.learner.target for entry in cold]
-            + [entry.job.learner.online for entry in group],
-            [[entry.branch_states[j] for j in entry.uncached] for entry in cold]
-            + [entry.branch_states for entry in group],
-        )
-        for entry, fresh in zip(cold, blocks[: len(cold)]):
-            version = entry.job.learner._target_version
-            for row, j in enumerate(entry.uncached):
-                transition, slot = entry.branch_source[j]
-                if transition.target_cache_version != version:
-                    transition.target_cache = [None] * len(transition.future_states)
-                    transition.target_cache_version = version
-                transition.target_cache[slot] = fresh[
-                    row, : entry.branch_states[j].num_tasks
-                ].copy()
-        for entry, online_values in zip(group, blocks[len(cold) :]):
-            _finish_target_entry(entry, online_values)
+            pending.append(branches)
 
-
-def _fused_prediction_update(jobs: Sequence[_TrainJob]) -> None:
-    """One stacked forward/backward for a group of same-shaped train steps.
-
-    Builds the exact per-replica loss graph of
-    :meth:`DoubleDQNLearner.train_step` on slices of one stacked forward,
-    backpropagates their sum once (each replica's loss receives gradient 1.0,
-    exactly as its own scalar backward would), scatters the gradient slices
-    into each learner's flat optimiser buffer, and finishes every update
-    with the shared clip/step/priority/sync path.
-    """
-    networks = [job.learner.online for job in jobs]
-    dtype = networks[0].dtype
-    stacked = StackedForward(networks, requires_grad=True)
-    values = stacked.forward_batch([(job.batch, job.mask) for job in jobs])
-
-    # One gather and one loss graph for the whole group.  Per replica this is
-    # bit-identical to the serial ``(w * diff * diff).mean()`` chain: the
-    # advanced-index gather scatters exactly one contribution per (replica,
-    # transition), the elementwise ops act per element, and the axis-1
-    # mean reduces each replica's row with the same summation order as the
-    # serial 1-D mean.
-    count = len(jobs)
-    batch_size = len(jobs[0].transitions)
-    actions = np.array(
-        [[t.action_index for t in job.transitions] for job in jobs], dtype=np.int64
+    # Target forwards (uncached branches only) and online forwards (every
+    # branch) are grouped separately: padding a few uncached branches up to
+    # the online batch would cost a full forward.
+    cold = [branches for branches in pending if branches.uncached]
+    fresh_blocks = _infer_grouped(
+        [
+            (branches.learner.target, [branches.states[j] for j in branches.uncached])
+            for branches in cold
+        ]
     )
-    gathered = values[
-        np.arange(count)[:, np.newaxis], np.arange(batch_size)[np.newaxis, :], actions
-    ]
-    weights = np.stack([np.asarray(job.weights, dtype=dtype) for job in jobs])
-    targets = np.stack([np.asarray(job.targets, dtype=dtype) for job in jobs])
-    diff = gathered - Tensor(targets)
-    losses = (Tensor(weights) * diff * diff).mean(axis=1)
-    predictions = gathered.numpy()
+    online_blocks = _infer_grouped(
+        [(branches.learner.online, branches.states) for branches in pending]
+    )
+    for branches, fresh in zip(cold, fresh_blocks):
+        version = branches.learner._target_version
+        for row, j in enumerate(branches.uncached):
+            transition, index = branches.source[j]
+            if transition.target_cache_version != version:
+                transition.target_cache = [None] * len(transition.future_states)
+                transition.target_cache_version = version
+            transition.target_cache[index] = fresh[row, : branches.states[j].num_tasks].copy()
 
-    for job in jobs:
-        job.learner.optimizer.zero_grad()
-    losses.sum().backward()
-    stacked.scatter_gradients()
-
-    loss_values = losses.numpy()
-    for i, job in enumerate(jobs):
-        report = job.learner._finish_update(
-            job.agent.memory,
-            float(loss_values[i]),
-            job.targets,
-            predictions[i],
-            job.indices,
-            len(job.transitions),
+    for branches, online_values in zip(pending, online_blocks):
+        # Restrict the argmax to each branch's real tasks (rows beyond
+        # num_tasks are padding).
+        counts = np.array([state.num_tasks for state in branches.states])
+        columns = np.arange(online_values.shape[1])
+        padded = columns[np.newaxis, :] >= counts[:, np.newaxis]
+        best_actions = np.argmax(np.where(padded, -np.inf, online_values), axis=1)
+        branch_values = np.empty(len(branches.states), dtype=np.float64)
+        for j, (transition, index) in enumerate(branches.source):
+            branch_values[j] = transition.target_cache[index][best_actions[j]]
+        expected_future = np.zeros(len(targets[branches.slot]), dtype=np.float64)
+        np.add.at(
+            expected_future,
+            np.asarray(branches.owner),
+            np.asarray(branches.probability) * branch_values,
         )
-        job.agent.record_report(report)
+        targets[branches.slot] = targets[branches.slot] + branches.learner.gamma * expected_future
+    return targets
+
+
+def gradient_steps(jobs: Sequence[TrainJob]) -> list[TrainStepReport]:
+    """One gradient step per job, one stacked forward/backward per group.
+
+    Jobs whose architecture and padded ``(B, rows, dim)`` batch agree share
+    a group; a lone job is the serial :meth:`DoubleDQNLearner.train_step`.
+    Each group builds every replica's importance-weighted squared-TD loss on
+    slices of one stacked forward, backpropagates their sum once (each
+    replica's loss receives gradient 1.0, exactly as its own scalar backward
+    would), scatters the gradient slices into each learner's flat optimiser
+    buffer, and finishes every update with the learner's clip/step/priority/
+    sync path.  Reports come back in job order.
+    """
+    padded = [
+        pad_state_batch([t.state for t in job.transitions], dtype=job.learner.online.dtype)
+        for job in jobs
+    ]
+    groups: dict[tuple, list[int]] = {}
+    for slot, (job, (batch, _)) in enumerate(zip(jobs, padded)):
+        groups.setdefault((stack_signature(job.learner.online), batch.shape), []).append(slot)
+    reports: list[TrainStepReport | None] = [None] * len(jobs)
+    for slots in groups.values():
+        group = [jobs[slot] for slot in slots]
+        dtype = group[0].learner.online.dtype
+        stacked = StackedForward([job.learner.online for job in group], requires_grad=True)
+        values = stacked.forward_batch([padded[slot] for slot in slots])
+
+        # One gather and one loss graph for the whole group.  Per replica
+        # this is bit-identical to a lone ``(w * diff * diff).mean()``: the
+        # advanced-index gather scatters exactly one contribution per
+        # (replica, transition), the elementwise ops act per element, and
+        # the axis-1 mean reduces each replica's row in the same summation
+        # order as a 1-D mean.  Targets and IS weights join the graph in the
+        # network's compute dtype, so float32 never promotes to float64.
+        batch_size = len(group[0].transitions)
+        actions = np.array(
+            [[t.action_index for t in job.transitions] for job in group], dtype=np.int64
+        )
+        gathered = values[
+            np.arange(len(group))[:, np.newaxis],
+            np.arange(batch_size)[np.newaxis, :],
+            actions,
+        ]
+        weights = np.stack([np.asarray(job.weights, dtype=dtype) for job in group])
+        targets = np.stack([np.asarray(job.targets, dtype=dtype) for job in group])
+        diff = gathered - Tensor(targets)
+        losses = (Tensor(weights) * diff * diff).mean(axis=1)
+        predictions = gathered.numpy()
+
+        for job in group:
+            job.learner.optimizer.zero_grad()
+        losses.sum().backward()
+        stacked.scatter_gradients()
+
+        loss_values = losses.numpy()
+        for i, (slot, job) in enumerate(zip(slots, group)):
+            reports[slot] = job.learner._finish_update(
+                job.memory,
+                float(loss_values[i]),
+                job.targets,
+                predictions[i],
+                job.indices,
+                batch_size,
+            )
+    return reports  # type: ignore[return-value]
 
 
 def fused_train_steps(agents: Sequence[DQNAgent]) -> None:
     """One train step per agent, fusing same-shaped work across agents.
 
     Semantically ``[agent.learner.train_step(agent.memory) for agent in
-    agents]`` (plus the diagnostics bookkeeping of ``store_and_train``), with
-    three fusion points: the uncached target forwards, the online
-    best-action forwards, and the prediction forward/backward.  Each agent's
-    numbers are bit-identical to its serial step.
+    agents]`` (plus the diagnostics bookkeeping of ``store_and_train``): the
+    replay samples, the Bellman-target forwards and the prediction
+    forward/backward each run as one fused call over the agents.  Each
+    agent's numbers are bit-identical to its serial step.
     """
     if not agents:
         return
@@ -350,35 +322,18 @@ def fused_train_steps(agents: Sequence[DQNAgent]) -> None:
         fused = sample_fused([a.memory for a in group_agents], batch_size)
         for group_agent, sample in zip(group_agents, fused):
             samples[id(group_agent)] = sample
-    jobs: list[_TrainJob] = []
-    for agent in agents:
-        learner = agent.learner
-        transitions, indices, weights = samples[id(agent)]
-        jobs.append(_TrainJob(agent, learner, list(transitions), indices, weights))
-
-    _compute_targets(jobs)
-
-    groups: dict[tuple, list[_TrainJob]] = {}
-    for job in jobs:
-        states = [t.state for t in job.transitions]
-        shape = _uniform_state_shape(states)
-        if shape is None:
-            groups.setdefault(("serial", id(job)), []).append(job)
-            continue
-        job.batch, job.mask = pad_state_batch(states, dtype=job.learner.online.dtype)
-        groups.setdefault(
-            (stack_signature(job.learner.online), job.batch.shape), []
-        ).append(job)
-
-    for group in groups.values():
-        if len(group) == 1:
-            job = group[0]
-            report = job.learner.train_step_on(
-                job.agent.memory, job.transitions, job.indices, job.weights, targets=job.targets
-            )
-            job.agent.record_report(report)
-        else:
-            _fused_prediction_update(group)
+    batches = [samples[id(agent)] for agent in agents]
+    targets = bellman_targets(
+        [(agent.learner, transitions) for agent, (transitions, _, _) in zip(agents, batches)]
+    )
+    reports = gradient_steps(
+        [
+            TrainJob(agent.learner, agent.memory, list(transitions), indices, weights, target)
+            for agent, (transitions, indices, weights), target in zip(agents, batches, targets)
+        ]
+    )
+    for agent, report in zip(agents, reports):
+        agent.record_report(report)
 
 
 def observe_lockstep(

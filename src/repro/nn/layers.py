@@ -187,9 +187,11 @@ class Linear(Module):
         # ``(M, K) @ (K, 1)`` product as a vectorized main loop plus a scalar
         # tail over the last ``M % width`` rows, so collapsing would make the
         # tail rows' bits depend on the *total* batch size.  Keeping the N-D
-        # per-batch-item product makes every row batch-slice stable, which
-        # the exact decision sharding relies on (see
-        # :mod:`repro.core.sharding`); the loop of tiny ``(rows, K) @ (K, 1)``
+        # per-batch-item product makes every row batch-slice stable.  The
+        # serial path is one-replica lockstep (:mod:`repro.core.stacked`),
+        # whose grouped forwards pad batches along the batch axis, so the
+        # serial numbers rely on that stability (and so does the exact
+        # decision sharding); the loop of tiny ``(rows, K) @ (K, 1)``
         # products is cheap next to the hidden-layer GEMMs.
         lead = x.shape[:-1]
         collapse = x.ndim > 2 and self.out_features > 1

@@ -17,11 +17,10 @@ ready this tick has registered) and answers them through
   composition (pinned by the vectorized-equivalence tests), so batching can
   never perturb a tenant's trajectory or its warm-restart equivalence;
 * asynchronously trained frameworks decide on their
-  :class:`~repro.core.trainer.SnapshotNetwork`\\ s; same-architecture,
-  same-shape snapshot scorings are fused by re-pointing one
-  :class:`~repro.core.stacked.StackedForward` raw-numpy mirror at a stack of
-  the snapshots' parameter views (each slice bit-identical to that
-  snapshot's own forward);
+  :class:`~repro.core.trainer.SnapshotNetwork`\\ s; their scorings go
+  through the same :func:`repro.core.stacked.fused_q_values` grouper with
+  each snapshot's parameter views in place of the live weights (each result
+  bit-identical to that snapshot's own forward);
 * everything else (baselines) answers serially via ``rank_tasks``.
 """
 
@@ -33,53 +32,13 @@ from typing import Sequence
 import numpy as np
 
 from ..core.framework import TaskArrangementFramework
-from ..core.stacked import StackedForward, stack_signature
-from ..core.trainer import SnapshotNetwork
+from ..core.qnetwork import SetQNetwork
+from ..core.stacked import fused_q_values
+from ..core.state import StateMatrix
 from ..core.vectorized import decide_lockstep
 from ..crowd.platform import ArrivalContext
-from ..core.state import StateMatrix
 
 __all__ = ["RankBatcher", "decide_batch", "decide_snapshots"]
-
-
-def _fused_snapshot_q_values(
-    jobs: Sequence[tuple[SnapshotNetwork, StateMatrix]]
-) -> list[np.ndarray]:
-    """``snapshot.q_values(state)`` for many pairs, fusing same-shaped groups.
-
-    Mirrors :func:`repro.core.vectorized.fused_q_values` with snapshots in
-    place of live networks: groups share one stacked raw-numpy forward whose
-    weight stacks are built from the snapshots' parameter views (the stack's
-    slice ``i`` holds exactly snapshot ``i``'s parameters, so each result is
-    bit-identical to the serial snapshot forward); singletons take the
-    serial snapshot call.
-    """
-    results: list[np.ndarray | None] = [None] * len(jobs)
-    groups: dict[tuple, list[int]] = {}
-    for slot, (snapshot, state) in enumerate(jobs):
-        key = (stack_signature(snapshot._agent.network), state.matrix.shape)
-        groups.setdefault(key, []).append(slot)
-    for slots in groups.values():
-        if len(slots) == 1:
-            snapshot, state = jobs[slots[0]]
-            results[slots[0]] = snapshot.q_values(state)
-        else:
-            snapshots = [jobs[slot][0] for slot in slots]
-            stacked = StackedForward([snapshot._agent.network for snapshot in snapshots])
-            # Re-point the mirror's weight stacks at the *snapshot* buffers
-            # (the constructor stacked the live parameters, which async
-            # decisions must not read).
-            stacked._arrays = {
-                name: np.stack(
-                    [snapshot._mirror._arrays[name][0] for snapshot in snapshots]
-                )
-                for name in stacked._arrays
-            }
-            for slot, values in zip(
-                slots, stacked.q_values_single([jobs[slot][1] for slot in slots])
-            ):
-                results[slot] = values
-    return results  # type: ignore[return-value]
 
 
 def decide_snapshots(
@@ -96,17 +55,21 @@ def decide_snapshots(
     for framework, _ in pairs:
         framework.trainer.before_decision()
     states = [framework._build_states(context) for framework, context in pairs]
-    jobs: list[tuple[SnapshotNetwork, StateMatrix]] = []
+    jobs: list[tuple[SetQNetwork, StateMatrix]] = []
+    parameters: list[dict[str, np.ndarray]] = []
     owners: list[tuple[int, str]] = []
     for slot, ((framework, _), (state_w, state_r)) in enumerate(zip(pairs, states)):
         snapshots = framework.trainer._snapshots
-        if framework.agent_w is not None:
-            jobs.append((snapshots[id(framework.agent_w)], state_w))
-            owners.append((slot, "w"))
-        if framework.agent_r is not None:
-            jobs.append((snapshots[id(framework.agent_r)], state_r))
-            owners.append((slot, "r"))
-    scored = _fused_snapshot_q_values(jobs)
+        for role, agent, state in (
+            ("w", framework.agent_w, state_w),
+            ("r", framework.agent_r, state_r),
+        ):
+            if agent is not None:
+                snapshot = snapshots[id(agent)]
+                jobs.append((snapshot.network, state))
+                parameters.append(snapshot.parameters)
+                owners.append((slot, role))
+    scored = fused_q_values(jobs, parameters)
     worker_q: list[np.ndarray | None] = [None] * len(pairs)
     requester_q: list[np.ndarray | None] = [None] * len(pairs)
     for (slot, role), values in zip(owners, scored):

@@ -24,10 +24,11 @@ import pytest
 from repro.core.agent import AgentConfig, DQNAgent
 from repro.core.qnetwork import SetQNetwork, pad_state_batch
 from repro.core.replay import Transition
-from repro.core.stacked import StackedForward, stack_signature, stackable
+from repro.core.stacked import StackedForward, fused_q_values, stack_signature, stackable
 from repro.core.state import StateMatrix
-from repro.core.vectorized import fused_q_values, fused_train_steps
-from repro.nn import Tensor
+from repro.core.trainer import SnapshotNetwork
+from repro.core.vectorized import fused_train_steps
+from repro.nn import Tensor, load_checkpoint, no_grad, save_checkpoint
 
 
 def make_state(rng, rows, dim, min_tasks=1):
@@ -170,7 +171,7 @@ class TestFusedQValues:
         jobs = [
             (nets[0], make_state(rng, 9, 13)),
             (nets[1], make_state(rng, 9, 13)),
-            (nets[2], make_state(rng, 5, 13)),  # different shape: serial path
+            (nets[2], make_state(rng, 5, 13)),  # different shape: a group of one
         ]
         fused = fused_q_values(jobs)
         for (network, state), values in zip(jobs, fused):
@@ -258,3 +259,62 @@ class TestFusedTrainSteps:
             serial_params = serial_agent.learner.online.state_dict()
             for name in fused_params:
                 assert np.array_equal(fused_params[name], serial_params[name]), name
+
+
+class TestOneReplicaViewsStayCurrent:
+    """Serial scoring stacks N = 1 parameter sets as zero-copy views.
+
+    Every way the weights change — an optimiser step, ``load_state_dict``, a
+    hard target sync and a checkpoint restore — must show in the next
+    ``q_values`` call of the live network and of a refreshed snapshot,
+    bitwise equal to the ``nn``-layer ``forward`` reference.
+    """
+
+    @staticmethod
+    def reference(network, state):
+        with no_grad():
+            values = network.forward(state.matrix, mask=state.mask).numpy()
+        return values[: state.num_tasks]
+
+    def assert_current(self, agent, snapshot, state):
+        expected = self.reference(agent.network, state)
+        assert np.array_equal(agent.network.q_values(state), expected)
+        assert np.array_equal(agent.network.q_values_batch([state])[0], expected)
+        snapshot.refresh()
+        assert np.array_equal(snapshot.q_values(state), expected)
+        assert np.array_equal(snapshot.q_values_batch([state])[0], expected)
+        target = agent.learner.target
+        assert np.array_equal(target.q_values(state), self.reference(target, state))
+        return expected
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_every_weight_change_shows(self, dtype, tmp_path):
+        rng = np.random.default_rng(11)
+        config = AgentConfig(hidden_dim=16, num_heads=2, batch_size=4, seed=0, dtype=dtype)
+        agent = DQNAgent(13, config)
+        donor = DQNAgent(13, AgentConfig(**{**config.__dict__, "seed": 5}))
+        for _ in range(12):
+            transition = make_transition(rng, 8, 13)
+            agent.store(transition)
+            donor.store(transition)
+        state = make_state(rng, 8, 13, min_tasks=3)
+        snapshot = SnapshotNetwork(agent)
+        seen = [self.assert_current(agent, snapshot, state)]
+
+        agent.record_report(agent.learner.train_step(agent.memory))
+        seen.append(self.assert_current(agent, snapshot, state))
+
+        agent.network.load_state_dict(donor.network.state_dict())
+        seen.append(self.assert_current(agent, snapshot, state))
+
+        agent.learner.sync_target()
+        assert np.array_equal(agent.learner.target.q_values(state), seen[-1])
+
+        donor.record_report(donor.learner.train_step(donor.memory))
+        path = save_checkpoint(donor.state_dict(), tmp_path / "donor.npz")
+        agent.load_state_dict(load_checkpoint(path))
+        seen.append(self.assert_current(agent, snapshot, state))
+        assert np.array_equal(seen[-1], donor.network.q_values(state))
+
+        for before, after in zip(seen, seen[1:]):
+            assert not np.array_equal(before, after)

@@ -37,6 +37,10 @@ POLICY_KWARGS = [
     ("ddqn", dict(TINY_DDQN, worker_weight=0.25)),
     ("ddqn-worker", TINY_DDQN),
     ("ddqn-requester", TINY_DDQN),
+    # No ``max_tasks``: ragged pools.  Train-step batches group by *padded*
+    # shape, so on four traces some replicas' ragged batches pad to the same
+    # shape and fuse, and must still equal the serial runs.
+    ("ddqn-worker", {k: v for k, v in TINY_DDQN.items() if k != "max_tasks"}),
 ]
 
 CONFIG = RunnerConfig(seed=0, max_arrivals=15, max_warmup_observations=12)
