@@ -590,11 +590,7 @@ class TaskArrangementFramework(ArrangementPolicy):
                 break
             if task_id in id_to_index:
                 skipped.append(id_to_index[task_id])
-        if not feedback.completed:
-            skipped = skipped[: self.config.max_failed_transitions]
-        else:
-            skipped = skipped[: self.config.max_failed_transitions]
-        pairs.extend((index, False) for index in skipped)
+        pairs.extend((index, False) for index in skipped[: self.config.max_failed_transitions])
         return pairs
 
     def _worker_transitions(

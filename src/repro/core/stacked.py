@@ -28,6 +28,13 @@ operand kinds, with the same numpy calls in the same order:
   after which :meth:`StackedForward.scatter_gradients` deposits each
   replica's gradient slice into its own network's parameters.
 
+Attention is the one place the two kinds take different entry points:
+Tensors go through the graph node of
+:func:`~repro.nn.functional.scaled_dot_product_attention` and ndarrays
+through :func:`_attend`.  Both scale the scores the same way and normalise
+them with the same in-place kernel,
+:func:`~repro.nn.functional.masked_softmax`.
+
 All networks of one call share an architecture (:func:`stack_signature`) and
 a per-replica operand shape.  :func:`fused_q_values` groups decision jobs by
 both; a group of one is the serial call.
@@ -40,7 +47,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 import numpy as np
 
 from ..nn import Tensor
-from ..nn.functional import scaled_dot_product_attention
+from ..nn.functional import masked_softmax, scaled_dot_product_attention
 from .state import StateMatrix, pad_state_batch
 
 if TYPE_CHECKING:  # pragma: no cover - qnetwork imports this module
@@ -114,20 +121,15 @@ def stack_parameters(
 def _attend(
     queries: np.ndarray, keys: np.ndarray, values: np.ndarray, key_mask: np.ndarray | None
 ) -> np.ndarray:
-    """Raw-numpy twin of ``scaled_dot_product_attention`` + ``Tensor.softmax``.
+    """Inference attention: the forward of ``scaled_dot_product_attention``.
 
-    The scalar scale joins in the operands' dtype, padded keys are filled
-    with -1e9 and the softmax is the shifted exp-normalise — the graph's
-    numpy calls in the graph's order.
+    The same scaled scores (the scalar scale joins in the operands' dtype)
+    go through the same :func:`~repro.nn.functional.masked_softmax` kernel
+    the graph node runs, so the weights — and the result — match it bitwise.
     """
-    scores = (queries @ np.swapaxes(keys, -1, -2)) * np.asarray(
-        1.0 / float(np.sqrt(queries.shape[-1])), dtype=queries.dtype
-    )
-    if key_mask is not None:
-        scores = np.where(np.broadcast_to(key_mask, scores.shape), -1e9, scores)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return (exps / exps.sum(axis=-1, keepdims=True)) @ values
+    scores = queries @ np.swapaxes(keys, -1, -2)
+    scores *= np.asarray(1.0 / float(np.sqrt(queries.shape[-1])), dtype=queries.dtype)
+    return masked_softmax(scores, key_mask) @ values
 
 
 class StackedForward:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor
+from .tensor import Tensor, as_tensor, row_max
 
 __all__ = [
     "relu",
@@ -20,6 +20,7 @@ __all__ = [
     "mse_loss",
     "huber_loss",
     "weighted_mse_loss",
+    "masked_softmax",
     "scaled_dot_product_attention",
 ]
 
@@ -103,6 +104,23 @@ def huber_loss(prediction: Tensor, target: Tensor, delta: float = 1.0) -> Tensor
     return combined.mean()
 
 
+def masked_softmax(scores: np.ndarray, key_mask: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis of ``scores``, in place, padded keys excluded.
+
+    ``key_mask`` (True = padding, broadcastable against ``scores``) fills
+    those keys with -1e9 before the shifted exp-normalise, so they get zero
+    weight.  Every step writes into ``scores`` itself, and the row sum runs
+    on that same contiguous buffer, so the result equals the composed
+    ``masked_fill(mask, -1e9).softmax()`` bit for bit.  Returns ``scores``.
+    """
+    if key_mask is not None:
+        np.copyto(scores, -1e9, where=key_mask)
+    scores -= row_max(scores)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
 def scaled_dot_product_attention(
     queries: Tensor,
     keys: Tensor,
@@ -126,17 +144,30 @@ def scaled_dot_product_attention(
         query rows.  Padded keys are excluded from the softmax so that
         zero-padding does not influence real tasks; padded query rows still
         produce (ignored) outputs.
+
+    Scale, mask and softmax form one graph node over ``Q K^T``: the forward
+    is :func:`masked_softmax` on the scaled scores, and the backward runs the
+    softmax, ``masked_fill`` and scale backward steps of the composed chain
+    ``((Q @ K^T) * scale).masked_fill(mask, -1e9).softmax()`` in that
+    chain's order.  Values and gradients equal the chain's bit for bit,
+    without its three nodes and their full-size temporaries.
     """
     queries = as_tensor(queries)
     keys = as_tensor(keys)
     values = as_tensor(values)
-    d_k = queries.shape[-1]
-    scores = (queries @ keys.swapaxes(-1, -2)) * (1.0 / float(np.sqrt(d_k)))
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        # Broadcast across query rows (and any leading batch/head axes):
-        # a trailing-True entry means that key column is padding everywhere.
-        key_mask = np.broadcast_to(mask, scores.shape)
-        scores = scores.masked_fill(key_mask, -1e9)
-    weights = scores.softmax(axis=-1)
-    return weights @ values
+    raw = queries @ keys.swapaxes(-1, -2)
+    scale = np.asarray(1.0 / float(np.sqrt(queries.shape[-1])), dtype=raw.data.dtype)
+    key_mask = None if mask is None else np.asarray(mask, dtype=bool)
+    weights = masked_softmax(raw.data * scale, key_mask)
+
+    def backward(grad: np.ndarray) -> None:
+        # d softmax_i / d x_j = softmax_i (delta_ij - softmax_j)
+        dot = (grad * weights).sum(axis=-1, keepdims=True)
+        grad_scores = grad - dot
+        grad_scores *= weights
+        if key_mask is not None:
+            np.copyto(grad_scores, 0.0, where=key_mask)
+        grad_scores *= scale
+        raw._accumulate(grad_scores, fresh=True)
+
+    return raw._make_child(weights, (raw,), backward) @ values

@@ -105,6 +105,20 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1, keepdims=True)``, as one vectorised pass.
+
+    numpy reduces a short last axis row by row, which dominates an
+    attention softmax over ~15 keys.  Transposing the rows into columns
+    turns the reduction into ``n - 1`` element-wise maxima over whole rows.  A maximum does not depend on the order it is taken
+    in and NaN propagates either way, so the result equals ``x.max``
+    bitwise — except that a zero maximum may carry the other sign, which
+    no caller can see: ``x - (±0)`` followed by ``exp`` is identical.
+    """
+    n = x.shape[-1]
+    return np.maximum.reduce(x.reshape(-1, n).T.copy()).reshape(x.shape[:-1] + (1,))
+
+
 def as_tensor(value, requires_grad: bool = False, dtype=None) -> "Tensor":
     """Coerce ``value`` (Tensor, ndarray, scalar or nested list) to a Tensor.
 
@@ -302,10 +316,12 @@ class Tensor:
         data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            grad_self = _unbroadcast(grad, self.data.shape)
-            self._accumulate(grad_self, fresh=grad_self is not grad)
-            grad_other = _unbroadcast(grad, other.data.shape)
-            other._accumulate(grad_other, fresh=grad_other is not grad)
+            if self.requires_grad:
+                grad_self = _unbroadcast(grad, self.data.shape)
+                self._accumulate(grad_self, fresh=grad_self is not grad)
+            if other.requires_grad:
+                grad_other = _unbroadcast(grad, other.data.shape)
+                other._accumulate(grad_other, fresh=grad_other is not grad)
 
         return self._make_child(data, (self, other), backward)
 
@@ -322,9 +338,11 @@ class Tensor:
         data = self.data - other.data
 
         def backward(grad: np.ndarray) -> None:
-            grad_self = _unbroadcast(grad, self.data.shape)
-            self._accumulate(grad_self, fresh=grad_self is not grad)
-            other._accumulate(_unbroadcast(-grad, other.data.shape), fresh=True)
+            if self.requires_grad:
+                grad_self = _unbroadcast(grad, self.data.shape)
+                self._accumulate(grad_self, fresh=grad_self is not grad)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(-grad, other.data.shape), fresh=True)
 
         return self._make_child(data, (self, other), backward)
 
@@ -336,8 +354,10 @@ class Tensor:
         data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.data.shape), fresh=True)
-            other._accumulate(_unbroadcast(grad * self.data, other.data.shape), fresh=True)
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad * other.data, self.data.shape), fresh=True)
+            if other.requires_grad:
+                other._accumulate(_unbroadcast(grad * self.data, other.data.shape), fresh=True)
 
         return self._make_child(data, (self, other), backward)
 
@@ -348,11 +368,13 @@ class Tensor:
         data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.data.shape), fresh=True)
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data**2), other.data.shape),
-                fresh=True,
-            )
+            if self.requires_grad:
+                self._accumulate(_unbroadcast(grad / other.data, self.data.shape), fresh=True)
+            if other.requires_grad:
+                other._accumulate(
+                    _unbroadcast(-grad * self.data / (other.data**2), other.data.shape),
+                    fresh=True,
+                )
 
         return self._make_child(data, (self, other), backward)
 
@@ -578,7 +600,10 @@ class Tensor:
         return self._make_child(data, (self,), backward)
 
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
+        if axis in (-1, self.data.ndim - 1):
+            shifted = self.data - row_max(self.data)
+        else:
+            shifted = self.data - self.data.max(axis=axis, keepdims=True)
         exps = np.exp(shifted)
         data = exps / exps.sum(axis=axis, keepdims=True)
 

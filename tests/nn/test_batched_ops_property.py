@@ -15,8 +15,11 @@ import numpy as np
 import pytest
 
 from repro.nn import Linear, MultiHeadSelfAttention, Tensor, scaled_dot_product_attention
+from repro.nn.functional import masked_softmax
+from repro.nn.tensor import row_max
 
 SEEDS = list(range(10))
+DTYPES = [np.float32, np.float64]
 
 #: Batched-vs-looped agreement tolerance.  The batched kernels reduce in a
 #: different association order than the per-sample loops, so bitwise equality
@@ -44,6 +47,24 @@ def draw_mask(rnd: random.Random, shape: tuple[int, ...]) -> np.ndarray:
         if row.all():
             row[rnd.randrange(shape[-1])] = False
     return flat.reshape(shape)
+
+
+def bits(array: np.ndarray) -> np.ndarray:
+    """The raw bit patterns of a float array (bitwise comparisons)."""
+    return array.view(np.uint32 if array.dtype == np.float32 else np.uint64)
+
+
+def assert_bitwise(actual: np.ndarray, expected: np.ndarray) -> None:
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    np.testing.assert_array_equal(bits(actual), bits(expected))
+
+
+def composed_attention(queries, keys, values, mask):
+    """Attention as the chain of public ``Tensor`` ops (the fused node's oracle)."""
+    scores = (queries @ keys.swapaxes(-1, -2)) * (1.0 / float(np.sqrt(queries.shape[-1])))
+    if mask is not None:
+        scores = scores.masked_fill(np.broadcast_to(mask, scores.shape), -1e9)
+    return scores.softmax(axis=-1) @ values
 
 
 class TestBatchedMatmulProperties:
@@ -119,6 +140,61 @@ class TestBatchedSoftmaxProperties:
             np.testing.assert_allclose(flat_grad[b], single.grad, atol=ATOL)
 
 
+class TestRowMaxProperties:
+    """``row_max`` is ``ndarray.max(axis=-1, keepdims=True)`` up to a zero's sign."""
+
+    SPECIALS = np.array([-1e9, np.inf, -np.inf, np.nan, 0.0, -0.0])
+
+    def draw_scores(self, seed: int, dtype) -> np.ndarray:
+        rnd = random.Random(seed)
+        rng = np.random.default_rng(seed)
+        # Key lengths from 1 up to past numpy's vectorised-reduction width.
+        shape = draw_lead(rnd) + (rnd.randint(1, 6), rnd.choice([1, 2, 5, 15, 19, 40]))
+        data = draw_array(rng, shape).astype(dtype)
+        special = rng.random(shape) < rnd.random()
+        data[special] = rng.choice(self.SPECIALS, size=int(special.sum()))
+        return data
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_ndarray_max_bitwise(self, seed, dtype):
+        data = self.draw_scores(seed, dtype)
+        expected = data.max(axis=-1, keepdims=True)
+        actual = row_max(data)
+        assert actual.dtype == expected.dtype and actual.shape == expected.shape
+        # Every maximum — NaN, ±inf, -1e9 fills — matches bit for bit; a zero
+        # maximum may differ only in its sign, because numpy's own reduction
+        # order over a long row differs from the column-wise pass.
+        same = bits(actual) == bits(expected)
+        assert (same | ((expected == 0) & (actual == 0))).all()
+        # That sign never reaches a softmax: the shifted exponentials agree.
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert_bitwise(np.exp(data - actual), np.exp(data - expected))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_signed_zero_rows_give_identical_exponentials(self, dtype):
+        """Rows of ±0 (and below) are where the zero's sign can differ."""
+        rng = np.random.default_rng(0)
+        data = rng.choice(np.array([0.0, -0.0, -1.0]), size=(64, 33)).astype(dtype)
+        actual, expected = row_max(data), data.max(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(actual, expected)
+        assert_bitwise(np.exp(data - actual), np.exp(data - expected))
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_masked_softmax_matches_composed_ops_in_place(self, seed, dtype):
+        rnd = random.Random(seed)
+        rng = np.random.default_rng(seed)
+        shape = draw_lead(rnd) + (rnd.randint(1, 6), rnd.randint(1, 20))
+        scores = draw_array(rng, shape).astype(dtype)
+        mask = draw_mask(rnd, shape[:-2] + (1, shape[-1]))
+        expected = Tensor(scores).masked_fill(np.broadcast_to(mask, shape), -1e9).softmax()
+        buffer = scores.copy()
+        assert masked_softmax(buffer, mask) is buffer
+        assert_bitwise(buffer, expected.numpy())
+        assert_bitwise(masked_softmax(scores.copy()), Tensor(scores).softmax().numpy())
+
+
 class TestMaskedFillProperties:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_masked_fill_forward_and_gradient_routing(self, seed):
@@ -161,6 +237,34 @@ class TestBatchedAttentionProperties:
                 np.testing.assert_allclose(
                     batched_input.grad[b], single_input.grad, atol=ATOL
                 )
+
+    @pytest.mark.parametrize("masking", ["none", "per_key", "full_row"])
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_fused_attention_matches_composed_ops_bitwise(self, seed, dtype, masking):
+        """One graph node equals the scale → masked_fill → softmax chain bitwise."""
+        rnd = random.Random(seed)
+        rng = np.random.default_rng(seed)
+        lead = draw_lead(rnd) + (rnd.randint(1, 3),)
+        rows, dim = rnd.randint(1, 19), 2 * rnd.randint(1, 4)
+        arrays = [draw_array(rng, lead + (rows, dim)).astype(dtype) for _ in range(3)]
+        mask = None
+        if masking != "none":
+            mask = draw_mask(rnd, lead[:-1] + (1, 1, rows))
+            if masking == "full_row":
+                mask.reshape(-1, rows)[0] = True
+        upstream = draw_array(rng, lead + (rows, dim)).astype(dtype)
+
+        fused = [Tensor(array, requires_grad=True) for array in arrays]
+        out = scaled_dot_product_attention(*fused, mask=mask)
+        out.backward(upstream)
+        composed = [Tensor(array, requires_grad=True) for array in arrays]
+        expected = composed_attention(*composed, mask)
+        expected.backward(upstream)
+
+        assert_bitwise(out.numpy(), expected.numpy())
+        for fused_input, composed_input in zip(fused, composed):
+            assert_bitwise(fused_input.grad, composed_input.grad)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_attention_layer_batched_matches_per_sample(self, seed):
