@@ -1,30 +1,24 @@
-"""Multi-core scale-out benchmark: shards × replica threads × decision shards.
+"""Multi-core scale-out benchmark: process-sharded serving.
 
-Measures the three composable scale-out axes this codebase ships and — more
-importantly on a CI box — *verifies their exactness contracts* while doing
-so:
+Measures the one scale-out axis this codebase ships across cores —
+process-sharded serving — and, more importantly on a CI box, *verifies its
+exactness contract* while doing so:
 
 * **Process-sharded serving** (``repro serve --shards K``): the tenants ×
   shards grid boots a real deployment per cell (K worker processes behind
   the routing front-end for K > 1, a plain single-process server for K = 1),
   replays the same trace windows through the load generator, and records
   aggregate events/sec and server-side rank p99.  The K = 1 and K = 2
-  deployments of the largest tenant count must drain **byte-identical**
+  deployments of every tenant count must drain **byte-identical**
   checkpoint trees (modulo wall-clock timing fields) — the benchmark fails
   ``--check`` otherwise.
-* **Threaded lockstep replicas** (``VectorizedRunner(replica_threads=T)``):
-  R offline replicas run with T = 1 and T > 1 and must produce
-  float-identical results; wall-clock per run is reported.
-* **Exact worker-partition decisions** (``replay_decisions(decision_shards
-  =P)``): the pure decision path at several shard counts; every P must rank
-  exactly the same number of arrivals (the bitwise ranking equivalence is
-  pinned by ``tests/core/test_decision_sharding.py``).
 
 ``--check`` gates **exactness and completion only** — sharded ≡ unsharded
-state, threaded ≡ single-threaded results, zero replay errors.  Speedup
-columns are informational: CI runs on one core, where the honest expectation
-is ≈ 1× (or slightly below, for the coordination overhead); the grid exists
-so multi-core operators can read real numbers off their own hardware.
+state and zero replay errors.  Speedup columns are informational: CI runs on
+one core, where the honest expectation is ≈ 1× (or slightly below, for the
+coordination overhead); the grid exists so multi-core operators can read
+real numbers off their own hardware.  Lockstep replica fusion is measured by
+``bench_endtoend``'s multi-replica section.
 
 Usage::
 
@@ -42,19 +36,14 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
-import os
 import platform
 import tempfile
 import threading
-import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from repro.api import build_policy
-from repro.datasets import generate_crowdspring
-from repro.eval import RunnerConfig, SimulationRunner, VectorizedRunner
 from repro.nn import threads as nn_threads
 from repro.serve import ArrangementServer, ServeSpec, run_loadgen
 from repro.serve.shard import ShardedFrontend
@@ -72,9 +61,9 @@ TINY_DDQN = {"hidden_dim": 16, "num_heads": 2, "batch_size": 8, "train_interval"
 
 @dataclass
 class ScalingConfig:
-    """Grid shape for the three scale-out axes."""
+    """Grid shape for the sharded-serving axis."""
 
-    #: Dataset generation knobs (tenant/replica i uses seed ``i + 1``).
+    #: Dataset generation knobs (tenant i uses seed ``i + 1``).
     scale: float = 0.03
     num_months: int = 2
     #: Serve grid: tenant counts × shard counts.
@@ -82,27 +71,11 @@ class ScalingConfig:
     shard_counts: tuple[int, ...] = (1, 2)
     #: Events replayed per tenant per serve cell.
     max_events: int = 120
-    #: Replica-thread grid: replica count and thread counts.
-    replicas: int = 4
-    thread_counts: tuple[int, ...] = (1, 2)
-    replica_arrivals: int = 20
-    #: Decision-shard grid.
-    decision_shards: tuple[int, ...] = (1, 2, 4)
-    decision_arrivals: int = 150
     checkpoint_every: int = 25
 
     @classmethod
     def quick(cls) -> "ScalingConfig":
-        return cls(
-            tenant_counts=(2,),
-            shard_counts=(1, 2),
-            max_events=60,
-            replicas=2,
-            thread_counts=(1, 2),
-            replica_arrivals=12,
-            decision_shards=(1, 2),
-            decision_arrivals=80,
-        )
+        return cls(tenant_counts=(2,), shard_counts=(1, 2), max_events=60)
 
     def build_spec(self, tenants: int) -> ServeSpec:
         return ServeSpec(
@@ -269,108 +242,10 @@ def _serve_grid(config: ScalingConfig, cache_dir: Path) -> tuple[list[dict], boo
     return rows, exact
 
 
-def _result_fingerprint(results) -> list[tuple]:
-    return [
-        (result.arrivals, result.completions, tuple(result.cr.monthly), result.qg.final)
-        for result in results
-    ]
-
-
-def _replica_thread_grid(config: ScalingConfig, datasets) -> tuple[list[dict], bool]:
-    """Threaded lockstep rows; returns (rows, threaded ≡ single-threaded)."""
-    runner_config = RunnerConfig(
-        seed=0, max_arrivals=config.replica_arrivals, max_warmup_observations=12
-    )
-    # CI may run on one core, where the budget guard would clamp every row
-    # to one thread; raise the budget so the exactness claim is tested on a
-    # genuinely threaded pool (wall-clock columns stay honest either way).
-    budget = max(nn_threads.max_threads(), max(config.thread_counts))
-    previous = os.environ.get(nn_threads.BUDGET_ENV_VAR)
-    os.environ[nn_threads.BUDGET_ENV_VAR] = str(budget)
-    rows = []
-    fingerprints = {}
-    try:
-        for threads_count in config.thread_counts:
-            replicas = [
-                (dataset, build_policy("ddqn-worker", dataset, **dict(TINY_DDQN, seed=0)))
-                for dataset in datasets[: config.replicas]
-            ]
-            started = time.perf_counter()
-            results = VectorizedRunner(
-                replicas, runner_config, replica_threads=threads_count
-            ).run()
-            elapsed = time.perf_counter() - started
-            fingerprints[threads_count] = _result_fingerprint(results)
-            rows.append(
-                {
-                    "label": f"{len(replicas)}r-x{threads_count}thread",
-                    "replicas": len(replicas),
-                    "replica_threads": threads_count,
-                    "elapsed_s": elapsed,
-                }
-            )
-    finally:
-        if previous is None:
-            os.environ.pop(nn_threads.BUDGET_ENV_VAR, None)
-        else:
-            os.environ[nn_threads.BUDGET_ENV_VAR] = previous
-    reference = fingerprints[config.thread_counts[0]]
-    exact = all(fingerprints[count] == reference for count in config.thread_counts)
-    for row in rows:
-        row["results_identical_to_1thread"] = (
-            fingerprints[row["replica_threads"]] == reference
-        )
-        base = next(r for r in rows if r["replica_threads"] == 1)
-        row["speedup_vs_1thread"] = (
-            base["elapsed_s"] / row["elapsed_s"] if row["elapsed_s"] > 0 else 0.0
-        )
-    return rows, exact
-
-
-def _decision_grid(config: ScalingConfig, datasets) -> tuple[list[dict], bool]:
-    """Decision-shard rows; returns (rows, all counts agree)."""
-    dataset = datasets[0]
-    runner = SimulationRunner(dataset, RunnerConfig(seed=0, max_warmup_observations=12))
-    rows = []
-    counts = set()
-    for shards in config.decision_shards:
-        policy = build_policy("ddqn-worker", dataset, **dict(TINY_DDQN, seed=0))
-        started = time.perf_counter()
-        ranked = runner.replay_decisions(
-            policy,
-            batch_size=64,
-            max_arrivals=config.decision_arrivals,
-            decision_shards=shards,
-        )
-        elapsed = time.perf_counter() - started
-        counts.add(ranked)
-        rows.append(
-            {
-                "label": f"decisions-x{shards}shard",
-                "decision_shards": shards,
-                "arrivals_ranked": ranked,
-                "elapsed_s": elapsed,
-                "decisions_per_s": ranked / elapsed if elapsed > 0 else 0.0,
-            }
-        )
-    for row in rows:
-        base = next(r for r in rows if r["decision_shards"] == 1)
-        row["speedup_vs_1shard"] = (
-            base["elapsed_s"] / row["elapsed_s"] if row["elapsed_s"] > 0 else 0.0
-        )
-    return rows, len(counts) == 1
-
-
 def run(config: ScalingConfig, cache_dir: Path) -> dict:
     serve_rows, serve_exact = _serve_grid(config, cache_dir)
-    datasets = [
-        generate_crowdspring(scale=config.scale, num_months=config.num_months, seed=seed + 1)
-        for seed in range(max(config.replicas, 1))
-    ]
-    replica_rows, replica_exact = _replica_thread_grid(config, datasets)
-    decision_rows, decision_exact = _decision_grid(config, datasets)
     return {
-        "benchmark": "multi-core scale-out: shards x replica threads x decision shards",
+        "benchmark": "multi-core scale-out: process-sharded serving",
         "config": asdict(config),
         "environment": {
             "python": platform.python_version(),
@@ -379,13 +254,7 @@ def run(config: ScalingConfig, cache_dir: Path) -> dict:
             "threads": nn_threads.thread_info(),
         },
         "serve": serve_rows,
-        "replica_threads": replica_rows,
-        "decisions": decision_rows,
-        "exactness": {
-            "sharded_serve_state_identical": serve_exact,
-            "threaded_replicas_identical": replica_exact,
-            "decision_shards_agree": decision_exact,
-        },
+        "exactness": {"sharded_serve_state_identical": serve_exact},
     }
 
 
@@ -397,22 +266,10 @@ def render(report: dict) -> str:
             f"{row['elapsed_s']:>8.2f} {row['speedup_vs_1shard']:>7.2f}x "
             f"{str(row.get('state_identical_to_unsharded', '-')):>6}"
         )
-    for row in report["replica_threads"]:
-        lines.append(
-            f"{row['label']:<22} {'-':>9} {'-':>9} {row['elapsed_s']:>8.2f} "
-            f"{row['speedup_vs_1thread']:>7.2f}x {str(row['results_identical_to_1thread']):>6}"
-        )
-    for row in report["decisions"]:
-        lines.append(
-            f"{row['label']:<22} {row['decisions_per_s']:>9.1f} {'-':>9} "
-            f"{row['elapsed_s']:>8.2f} {row['speedup_vs_1shard']:>7.2f}x {'-':>6}"
-        )
     exact = report["exactness"]
     lines.append(
         f"\nexactness: sharded serve state "
-        f"{'PASS' if exact['sharded_serve_state_identical'] else 'FAIL'}, "
-        f"threaded replicas {'PASS' if exact['threaded_replicas_identical'] else 'FAIL'}, "
-        f"decision shards {'PASS' if exact['decision_shards_agree'] else 'FAIL'} "
+        f"{'PASS' if exact['sharded_serve_state_identical'] else 'FAIL'} "
         f"(speedups informational; exactness is the gate)"
     )
     return "\n".join(lines)

@@ -93,7 +93,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     spec = ExperimentSpec.load(args.spec)
     if args.async_training:
         _enable_async(spec)
-    results = run_spec(spec, vectorize=args.vectorize, cell_threads=args.cell_threads)
+    results = run_spec(spec, vectorize=args.vectorize)
     _report(spec, results, args.output)
     return 0
 
@@ -158,13 +158,7 @@ def _run_sweep_runner(runner: SweepRunner) -> int:
 def _cmd_sweep_run(args: argparse.Namespace) -> int:
     spec = SweepSpec.load(args.spec)
     directory = args.dir if args.dir is not None else Path("sweeps") / spec.name
-    runner = SweepRunner(
-        spec,
-        directory,
-        workers=args.workers,
-        vectorize=args.vectorize,
-        cell_threads=args.cell_threads,
-    )
+    runner = SweepRunner(spec, directory, workers=args.workers, vectorize=args.vectorize)
     code = _run_sweep_runner(runner)
     if code == 0 and args.store is not None:
         summary = runner.ingest(args.store)
@@ -174,13 +168,7 @@ def _cmd_sweep_run(args: argparse.Namespace) -> int:
 
 def _cmd_sweep_resume(args: argparse.Namespace) -> int:
     spec = SweepSpec.load(Path(args.dir) / "sweep.json")
-    runner = SweepRunner(
-        spec,
-        args.dir,
-        workers=args.workers,
-        vectorize=args.vectorize,
-        cell_threads=args.cell_threads,
-    )
+    runner = SweepRunner(spec, args.dir, workers=args.workers, vectorize=args.vectorize)
     code = _run_sweep_runner(runner)
     if code == 0 and args.store is not None:
         summary = runner.ingest(args.store)
@@ -282,14 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="train the spec's DDQN policies asynchronously (decisions on a "
         "snapshot network, train steps on a background thread)",
     )
-    run_parser.add_argument(
-        "--cell-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run up to N of the spec's policies on concurrent threads "
-        "(results float-identical to the serial run)",
-    )
     run_parser.set_defaults(func=_cmd_run)
 
     compare_parser = sub.add_parser(
@@ -350,14 +330,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "width N (results identical to the serial sweep)",
     )
     sweep_run.add_argument(
-        "--cell-threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan each cell's policies out over up to N threads "
-        "(results float-identical to the serial sweep)",
-    )
-    sweep_run.add_argument(
         "--store",
         type=Path,
         default=None,
@@ -373,7 +345,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep_resume.add_argument("dir", type=Path, help="sweep directory holding sweep.json")
     sweep_resume.add_argument("--workers", type=int, default=1)
     sweep_resume.add_argument("--vectorize", type=int, default=None, metavar="N")
-    sweep_resume.add_argument("--cell-threads", type=int, default=None, metavar="N")
     sweep_resume.add_argument("--store", type=Path, default=None, metavar="DB")
     sweep_resume.set_defaults(func=_cmd_sweep_resume)
 

@@ -213,7 +213,6 @@ def run_spec(
     dataset_cache_dir: str | Path | None = None,
     vectorize: int | None = None,
     resume: bool = False,
-    cell_threads: int | None = None,
 ) -> dict[str, EvaluationResult]:
     """Execute a spec and return the results keyed by policy label.
 
@@ -238,20 +237,11 @@ def run_spec(
     fused across replicas (see :class:`repro.eval.VectorizedRunner`) while
     every result stays float-for-float identical to the serial run.  Note
     that a lockstep group keeps all of its policies in memory at once.
-
-    ``cell_threads`` runs the (non-vectorized) policies on a thread pool of
-    that size instead of one after another: the policies share nothing (each
-    run works on its own entity copies and its own RNGs) and numpy releases
-    the GIL inside BLAS, so the results are float-identical to the serial
-    order while independent simulations overlap.  Ignored when ``vectorize``
-    is active (the lockstep path has its own fusion).
     """
     if not spec.policies:
         raise ValueError(f"experiment spec {spec.name!r} lists no policies")
     if vectorize is not None and vectorize < 1:
         raise ValueError(f"vectorize must be >= 1 or None, got {vectorize}")
-    if cell_threads is not None and cell_threads < 1:
-        raise ValueError(f"cell_threads must be >= 1 or None, got {cell_threads}")
     # Fail fast on typo'd policy names before any (possibly hours-long)
     # simulation starts; policies themselves are built one at a time below so
     # (in the serial path) at most one trained framework is resident at once.
@@ -264,32 +254,6 @@ def run_spec(
     width = 1 if vectorize is None else vectorize
     if width <= 1:
         runner = SimulationRunner(dataset, spec.runner)
-        threads = 1 if cell_threads is None else min(cell_threads, len(spec.policies))
-        if threads > 1:
-            # Per-policy fan-out inside one cell: every run owns its entity
-            # copies and RNGs, so overlapping them on threads (numpy drops
-            # the GIL in BLAS) is float-identical to the serial order.
-            from concurrent.futures import ThreadPoolExecutor
-
-            jobs: list[tuple[str, object, Path | None]] = []
-            labels: set[str] = set()
-            for policy_spec in spec.policies:
-                policy = build_policy(policy_spec.policy, dataset, **policy_spec.kwargs)
-                label = policy_spec.label if policy_spec.label is not None else policy.name
-                if label in labels:
-                    raise ValueError(
-                        f"duplicate result label {label!r} in spec {spec.name!r}; "
-                        "set PolicySpec.label to disambiguate repeated policies"
-                    )
-                labels.add(label)
-                path = _checkpoint_path(spec, label, checkpoint_dir, checkpoint_slugs)
-                jobs.append((label, policy, path))
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futures = [
-                    pool.submit(runner.run, policy, checkpoint_path=path, resume=resume)
-                    for _, policy, path in jobs
-                ]
-                return {label: future.result() for (label, _, _), future in zip(jobs, futures)}
         results: dict[str, EvaluationResult] = {}
         for policy_spec in spec.policies:
             policy = build_policy(policy_spec.policy, dataset, **policy_spec.kwargs)

@@ -288,7 +288,6 @@ def _execute_cell(payload: dict) -> dict:
         checkpoint_dir=payload.get("checkpoint_dir"),
         dataset_cache_dir=payload.get("dataset_cache_dir"),
         vectorize=payload.get("vectorize"),
-        cell_threads=payload.get("cell_threads"),
         resume=True,
     )
     return {
@@ -485,23 +484,15 @@ class SweepRunner:
         directory: str | Path,
         workers: int = 1,
         vectorize: int | None = None,
-        cell_threads: int | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if vectorize is not None and vectorize < 1:
             raise ValueError(f"vectorize must be >= 1 or None, got {vectorize}")
-        if cell_threads is not None and cell_threads < 1:
-            raise ValueError(f"cell_threads must be >= 1 or None, got {cell_threads}")
         self.spec = spec
         self.directory = Path(directory)
         self.workers = workers
         self.vectorize = vectorize
-        #: Per-policy thread fan-out *inside* each cell (see
-        #: :func:`repro.api.run_spec`); orthogonal to ``workers``
-        #: (across-cell processes) and ignored by lockstep group jobs,
-        #: where the episode-vectorized engine already fuses the policies.
-        self.cell_threads = cell_threads
 
     # ------------------------------------------------------------------ #
     @property
@@ -590,8 +581,6 @@ class SweepRunner:
         }
         if cell.spec.runner.checkpoint_every is not None:
             payload["checkpoint_dir"] = str(self.directory / "checkpoints" / cell.cell_id)
-        if self.cell_threads is not None:
-            payload["cell_threads"] = self.cell_threads
         return payload
 
     def _jobs(self, pending: list[SweepCell]) -> list[tuple[str, dict]]:
@@ -704,10 +693,9 @@ def run_sweep(
     directory: str | Path,
     workers: int = 1,
     vectorize: int | None = None,
-    cell_threads: int | None = None,
     progress: Callable[[str, int, int], None] | None = None,
 ) -> dict:
     """Convenience wrapper: execute ``spec`` into ``directory`` and aggregate."""
-    return SweepRunner(
-        spec, directory, workers=workers, vectorize=vectorize, cell_threads=cell_threads
-    ).run(progress=progress)
+    return SweepRunner(spec, directory, workers=workers, vectorize=vectorize).run(
+        progress=progress
+    )

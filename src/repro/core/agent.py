@@ -9,6 +9,7 @@ these agents and combines their Q values.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,12 @@ from .qnetwork import SetQNetwork
 from .replay import PrioritizedReplayMemory, ReplayMemory, Transition
 from .state import StateMatrix
 
-__all__ = ["AgentConfig", "DQNAgent"]
+__all__ = ["AgentConfig", "DQNAgent", "LOSS_HISTORY"]
+
+#: How many of the newest train-step losses :class:`AgentDiagnostics` keeps
+#: (and every checkpoint carries): memory and checkpoint size stay bounded
+#: however long an agent trains.
+LOSS_HISTORY = 1_000
 
 
 @dataclass
@@ -63,7 +69,8 @@ class AgentDiagnostics:
     observations: int = 0
     train_steps: int = 0
     last_loss: float | None = None
-    losses: list[float] = field(default_factory=list)
+    #: The newest :data:`LOSS_HISTORY` train-step losses, oldest first.
+    losses: deque[float] = field(default_factory=lambda: deque(maxlen=LOSS_HISTORY))
 
 
 class DQNAgent:
@@ -163,7 +170,10 @@ class DQNAgent:
         self.diagnostics.train_steps = int(diagnostics["train_steps"])
         last_loss = diagnostics["last_loss"]
         self.diagnostics.last_loss = None if last_loss is None else float(last_loss)
-        self.diagnostics.losses = [float(x) for x in np.asarray(diagnostics["losses"])]
+        # Checkpoints written before the history was bounded may carry more.
+        self.diagnostics.losses = deque(
+            (float(x) for x in np.asarray(diagnostics["losses"])), maxlen=LOSS_HISTORY
+        )
 
     def train_once(self) -> TrainStepReport | None:
         """Force one gradient step (used by offline pre-training helpers)."""

@@ -16,7 +16,6 @@ the evaluation runner treats it exactly like any baseline.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -28,7 +27,6 @@ from ..crowd.platform import ArrivalContext, Feedback
 from ..crowd.quality import DixitStiglitzQuality
 from ..nn.dtype import resolve_dtype
 from ..nn.serialization import load_checkpoint, save_checkpoint
-from ..nn.threads import max_threads
 from .agent import AgentConfig, DQNAgent
 from .aggregator import QValueAggregator
 from .explorer import EpsilonGreedyExplorer, GaussianPerturbationExplorer
@@ -36,7 +34,6 @@ from .interfaces import ArrangementPolicy
 from .predictor import FutureStatePredictorR, FutureStatePredictorW
 from .qnetwork import SetQNetwork
 from .replay import Transition
-from .sharding import pad_states_uniform, shard_slices
 from .state import StateMatrix, StateTransformer
 from .trainer import AsyncTrainer, SyncTrainer, TrainerLoop
 
@@ -307,7 +304,7 @@ class TaskArrangementFramework(ArrangementPolicy):
         )
         return self._decide(context, state_w, state_r, worker_q, requester_q)
 
-    def rank_tasks_batch(self, contexts, shards: int = 1) -> list[list[int]]:
+    def rank_tasks_batch(self, contexts) -> list[list[int]]:
         """Rank several independent arrivals with one padded forward per agent.
 
         The candidate states of every context are scored through
@@ -317,19 +314,7 @@ class TaskArrangementFramework(ArrangementPolicy):
         order, consuming the RNG exactly as the sequential loop would.
         Equivalent to sequential :meth:`rank_tasks` calls with no feedback in
         between (up to the batched engine's float tolerance).
-
-        ``shards > 1`` scores the batch through the exact map-reduce path:
-        candidate states are pre-padded to the global maximum row count
-        (:func:`repro.core.sharding.pad_states_uniform`), partitioned into
-        contiguous batch-axis chunks, scored chunk-by-chunk (on a thread
-        pool when the machine's thread budget allows — numpy releases the
-        GIL inside BLAS) and merged in order.  Every chunk's padded arrays
-        are exact batch-axis slices of the unsharded mega-batch, so the
-        merged Q values — and therefore the rankings and RNG consumption —
-        are bit-identical to ``shards=1``.
         """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         contexts = list(contexts)
         rankings: list[list[int]] = [[] for _ in contexts]
         scored = [i for i, context in enumerate(contexts) if context.available_tasks]
@@ -337,12 +322,8 @@ class TaskArrangementFramework(ArrangementPolicy):
             return rankings
         self.trainer.before_decision()
         states = [self._build_states(contexts[i]) for i in scored]
-        worker_qs = self._score_states(
-            self.agent_w, [state_w for state_w, _ in states], shards
-        )
-        requester_qs = self._score_states(
-            self.agent_r, [state_r for _, state_r in states], shards
-        )
+        worker_qs = self._score_states(self.agent_w, [state_w for state_w, _ in states])
+        requester_qs = self._score_states(self.agent_r, [state_r for _, state_r in states])
         for slot, i in enumerate(scored):
             state_w, state_r = states[slot]
             rankings[i] = self._decide(
@@ -351,39 +332,12 @@ class TaskArrangementFramework(ArrangementPolicy):
         return rankings
 
     def _score_states(
-        self, agent: DQNAgent | None, states: list[StateMatrix], shards: int
+        self, agent: DQNAgent | None, states: list[StateMatrix]
     ) -> list[np.ndarray | None]:
-        """Q-value arrays for ``states``, optionally via sharded map-reduce.
-
-        ``shards=1`` is the historical single mega-batch.  With more shards
-        the (pre-padded, see :func:`pad_states_uniform`) batch is split into
-        contiguous chunks and each chunk scored by its own
-        ``trainer.q_values_batch`` call; chunks run concurrently on a thread
-        pool capped at the machine's thread budget (never warning — decision
-        sharding degrades to serial chunk scoring on a small box, still
-        bit-identical).  The merge is a plain ordered concatenation.
-        """
+        """Q-value arrays for ``states`` in one ``trainer.q_values_batch`` call."""
         if agent is None:
             return [None] * len(states)
-        if shards <= 1 or len(states) <= 1:
-            return self.trainer.q_values_batch(agent, states)
-        uniform = pad_states_uniform(states)
-        slices = shard_slices(len(uniform), shards)
-        if len(slices) <= 1:
-            return self.trainer.q_values_batch(agent, states)
-        chunks = [uniform[chunk] for chunk in slices]
-        workers = min(len(chunks), max_threads())
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(
-                    pool.map(lambda chunk: self.trainer.q_values_batch(agent, chunk), chunks)
-                )
-        else:
-            parts = [self.trainer.q_values_batch(agent, chunk) for chunk in chunks]
-        merged: list[np.ndarray | None] = []
-        for part in parts:
-            merged.extend(part)
-        return merged
+        return self.trainer.q_values_batch(agent, states)
 
     def _decide(
         self,

@@ -137,18 +137,19 @@ class StackedForward:
 
     Parameters are stacked at construction, from the networks' live arrays
     or from ``parameters`` (one ``name → array`` map per network, e.g. a
-    snapshot's frozen buffers).  Build a fresh instance per call whenever
-    the parameters may have changed.  With ``requires_grad=True`` the
-    stacked parameters join the autograd graph and :meth:`scatter_gradients`
-    deposits each replica's slice into its own network's parameters
-    afterwards — exactly the values a serial backward would have produced.
+    snapshot's frozen buffers, or ``None`` for that network's live arrays).
+    Build a fresh instance per call whenever the parameters may have
+    changed.  With ``requires_grad=True`` the stacked parameters join the
+    autograd graph and :meth:`scatter_gradients` deposits each replica's
+    slice into its own network's parameters afterwards — exactly the values
+    a serial backward would have produced.
     """
 
     def __init__(
         self,
         networks: Sequence[SetQNetwork],
         requires_grad: bool = False,
-        parameters: Sequence[Mapping[str, np.ndarray]] | None = None,
+        parameters: Sequence[Mapping[str, np.ndarray] | None] | None = None,
     ) -> None:
         if not networks:
             raise ValueError("StackedForward requires at least one network")
@@ -160,11 +161,13 @@ class StackedForward:
         self.dtype = networks[0].dtype
         self._per_network = [_parameter_map(network) for network in networks]
         if parameters is None:
-            parameters = [
-                {name: param.data for name, param in params.items()}
-                for params in self._per_network
+            parameters = [None] * self.count
+        self._arrays = stack_parameters(
+            [
+                {name: param.data for name, param in live.items()} if given is None else given
+                for live, given in zip(self._per_network, parameters)
             ]
-        self._arrays = stack_parameters(parameters)
+        )
         # Graph leaves are only needed when gradients flow; inference calls
         # run on the bare arrays.
         self._params: dict[str, Tensor] | None = (
@@ -319,15 +322,16 @@ class StackedForward:
 
 def fused_q_values(
     jobs: Sequence[tuple[SetQNetwork, StateMatrix]],
-    parameters: Sequence[Mapping[str, np.ndarray]] | None = None,
+    parameters: Sequence[Mapping[str, np.ndarray] | None] | None = None,
 ) -> list[np.ndarray]:
     """``network.q_values(state)`` for many pairs, one forward per group.
 
     Pairs whose architecture and state shape agree share one stacked
     inference forward; a lone pair is a forward with N = 1.  ``parameters``
     optionally gives, per pair, the ``name → array`` map to score with in
-    place of the network's live parameters (snapshot buffers).  Each result
-    is bit-identical to the reference forward on that pair alone.
+    place of the network's live parameters (snapshot buffers; ``None`` keeps
+    that pair's live parameters).  Each result is bit-identical to the
+    reference forward on that pair alone.
     """
     results: list[np.ndarray | None] = [None] * len(jobs)
     groups: dict[tuple, list[int]] = {}

@@ -45,6 +45,7 @@ from .state import StateMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (agent imports nothing here)
     from .agent import DQNAgent
+    from .qnetwork import SetQNetwork
     from .replay import Transition
 
 __all__ = ["TrainerLoop", "SyncTrainer", "AsyncTrainer", "SnapshotNetwork"]
@@ -119,6 +120,15 @@ class TrainerLoop:
     def before_decision(self) -> None:
         """Hook before each decision (parameter refresh / handoff barrier)."""
 
+    def scorer(self, agent: "DQNAgent") -> "tuple[SetQNetwork, dict[str, np.ndarray] | None]":
+        """What decisions score ``agent`` with: a network and its parameters.
+
+        ``None`` parameters mean the network's live weights.  Fused decision
+        paths (:func:`repro.core.vectorized.decide_lockstep`) hand the pair to
+        :func:`repro.core.stacked.fused_q_values`.
+        """
+        raise NotImplementedError
+
     def q_values(self, agent: "DQNAgent", state: StateMatrix) -> np.ndarray:
         raise NotImplementedError
 
@@ -147,6 +157,9 @@ class SyncTrainer(TrainerLoop):
                 agent.store(transition)
                 if agent.should_train():
                     agent.record_report(agent.learner.train_step(agent.memory))
+
+    def scorer(self, agent: "DQNAgent") -> "tuple[SetQNetwork, None]":
+        return agent.network, None
 
     def q_values(self, agent: "DQNAgent", state: StateMatrix) -> np.ndarray:
         return agent.q_values(state)
@@ -270,6 +283,10 @@ class AsyncTrainer(TrainerLoop):
         # schedule — the barrier itself is the synchronisation).
         for snapshot in self._snapshots.values():
             snapshot.refresh()
+
+    def scorer(self, agent: "DQNAgent") -> "tuple[SetQNetwork, dict[str, np.ndarray]]":
+        snapshot = self._snapshots[id(agent)]
+        return snapshot.network, snapshot.parameters
 
     def q_values(self, agent: "DQNAgent", state: StateMatrix) -> np.ndarray:
         return self._snapshots[id(agent)].q_values(state)

@@ -58,24 +58,35 @@ __all__ = [
 def decide_lockstep(
     pairs: Sequence[tuple[TaskArrangementFramework, ArrivalContext]]
 ) -> list[list[int]]:
-    """Rank one arrival per framework replica, fusing the network forwards.
+    """Rank one arrival per framework, fusing the network forwards.
 
-    Equivalent to ``[framework.rank_tasks(context) for ...]`` — exploration
-    noise, pending-decision bookkeeping and annealing run per replica on the
-    replica's own RNG, in replica order; only the (RNG-free) Q-value forwards
-    are batched across replicas.
+    Equivalent to ``[framework.rank_tasks(context) for ...]``.  Each
+    framework's ``before_decision`` hook runs first (a no-op for inline
+    training; snapshot refresh or the handoff barrier for async training),
+    and each agent is scored with what its trainer decides with
+    (:meth:`~repro.core.trainer.TrainerLoop.scorer`: the live network, or an
+    async snapshot's parameters).  Exploration noise, pending-decision
+    bookkeeping and annealing then run per framework on its own RNG, in
+    order; only the (RNG-free) Q-value forwards are batched across
+    frameworks.
     """
+    for framework, _ in pairs:
+        framework.trainer.before_decision()
     states = [framework._build_states(context) for framework, context in pairs]
     scoring_jobs: list[tuple[SetQNetwork, StateMatrix]] = []
+    parameters: list[dict[str, np.ndarray] | None] = []
     owners: list[tuple[int, str]] = []
     for slot, ((framework, _), (state_w, state_r)) in enumerate(zip(pairs, states)):
-        if framework.agent_w is not None:
-            scoring_jobs.append((framework.agent_w.network, state_w))
-            owners.append((slot, "w"))
-        if framework.agent_r is not None:
-            scoring_jobs.append((framework.agent_r.network, state_r))
-            owners.append((slot, "r"))
-    scored = fused_q_values(scoring_jobs)
+        for role, agent, state in (
+            ("w", framework.agent_w, state_w),
+            ("r", framework.agent_r, state_r),
+        ):
+            if agent is not None:
+                network, params = framework.trainer.scorer(agent)
+                scoring_jobs.append((network, state))
+                parameters.append(params)
+                owners.append((slot, role))
+    scored = fused_q_values(scoring_jobs, parameters)
     worker_q: list[np.ndarray | None] = [None] * len(pairs)
     requester_q: list[np.ndarray | None] = [None] * len(pairs)
     for (slot, role), values in zip(owners, scored):

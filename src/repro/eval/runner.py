@@ -29,7 +29,6 @@ cursors never starve, so the offline drivers never see idle requests.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Generator, Sequence
@@ -38,7 +37,6 @@ import numpy as np
 
 from ..core.framework import TaskArrangementFramework, migrate_config_tree
 from ..core.interfaces import ArrangementPolicy
-from ..core.sharding import shard_slices
 from ..core.vectorized import decide_lockstep, observe_lockstep
 from ..crowd.behavior import CascadeBehavior, InterestModel
 from ..crowd.entities import MINUTES_PER_DAY, MINUTES_PER_MONTH
@@ -47,7 +45,6 @@ from ..crowd.quality import DixitStiglitzQuality
 from ..crowd.vectorized import STARVED, ReplicaStream, VectorizedPlatform, partition_requests
 from ..datasets.crowdspring import CrowdDataset
 from ..nn.serialization import load_checkpoint, save_checkpoint
-from ..nn.threads import budgeted_workers, num_threads
 from .metrics import EvaluationResult, RequesterBenefitTracker, WorkerBenefitTracker
 
 __all__ = [
@@ -567,7 +564,6 @@ class SimulationRunner:
         policy: ArrangementPolicy,
         batch_size: int = 64,
         max_arrivals: int | None = None,
-        decision_shards: int = 1,
     ) -> int:
         """Decision-only replay: rank every online arrival, in padded batches.
 
@@ -579,16 +575,9 @@ class SimulationRunner:
         the pure decision path: the end-to-end throughput harness uses it to
         report decisions/sec, and it doubles as frozen-policy scoring of a
         trace.  Returns the number of arrivals ranked.
-
-        ``decision_shards`` forwards to ``rank_tasks_batch(shards=...)``:
-        each batch is partitioned into that many contiguous chunks, scored
-        independently and merged, bit-identical to the unsharded path (see
-        :mod:`repro.core.sharding`).
         """
         if batch_size <= 0:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if decision_shards < 1:
-            raise ValueError(f"decision_shards must be >= 1, got {decision_shards}")
         platform, behavior = _build_platform(self.dataset, self.config)
         warm_trace, online_trace = self.dataset.trace.split_warmup(self.dataset.warmup_end)
         # Replay the warm-up month exactly like run() does (self-selected
@@ -605,13 +594,13 @@ class SimulationRunner:
                 continue
             pending.append(context)
             if len(pending) >= batch_size:
-                policy.rank_tasks_batch(pending, shards=decision_shards)
+                policy.rank_tasks_batch(pending)
                 ranked += len(pending)
                 pending.clear()
             if max_arrivals is not None and ranked + len(pending) >= max_arrivals:
                 break
         if pending:
-            policy.rank_tasks_batch(pending, shards=decision_shards)
+            policy.rank_tasks_batch(pending)
             ranked += len(pending)
         return ranked
 
@@ -636,17 +625,6 @@ class VectorizedRunner:
     Timing fields are wall-clock noise throughout the determinism layer;
     compare throughput via total run time (as ``bench_endtoend``'s
     multi-replica section does), never via these per-replica means.
-
-    ``replica_threads=T`` splits each round's fused work into T contiguous
-    replica groups and runs the groups' stacked forwards/train steps on a
-    thread pool (numpy releases the GIL inside BLAS), with the round
-    boundary as the barrier.  Every replica stays in exactly one group per
-    round and each group's lockstep call is bit-identical per replica to
-    the serial call it replaces, so results are float-identical to
-    ``replica_threads=1``.  The requested count is clamped by
-    :func:`repro.nn.threads.budgeted_workers` against the machine's thread
-    budget composed with the active BLAS thread setting — ``shards ×
-    replica_threads × blas_threads`` never oversubscribes the box.
     """
 
     def __init__(
@@ -654,15 +632,11 @@ class VectorizedRunner:
         replicas: Sequence[tuple],
         config: RunnerConfig | None = None,
         resume: bool = False,
-        replica_threads: int = 1,
     ) -> None:
         if not replicas:
             raise ValueError("VectorizedRunner requires at least one replica")
-        if replica_threads < 1:
-            raise ValueError(f"replica_threads must be >= 1, got {replica_threads}")
         self.config = config if config is not None else RunnerConfig()
         self.resume = resume
-        self.replica_threads = replica_threads
         self._replicas: list[tuple[CrowdDataset, ArrangementPolicy, Path | None]] = []
         for replica in replicas:
             if len(replica) == 2:
@@ -676,15 +650,6 @@ class VectorizedRunner:
     def policies(self) -> list[ArrangementPolicy]:
         return [policy for _, policy, _ in self._replicas]
 
-    def _effective_threads(self) -> int:
-        """The usable thread count: the request, budget-clamped (warns)."""
-        threads = min(self.replica_threads, len(self._replicas))
-        if threads <= 1:
-            return 1
-        return budgeted_workers(
-            threads, concurrent=num_threads() or 1, label="replica threads"
-        )
-
     def run(self) -> list[EvaluationResult]:
         """Run all replicas to completion, returning results in replica order."""
         loops = [
@@ -693,36 +658,23 @@ class VectorizedRunner:
         ]
         policies = self.policies
         lockstep = VectorizedPlatform(loops)
-        threads = self._effective_threads()
-        pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-
-        def chunked(items: list, worker) -> list:
-            """Apply ``worker`` to contiguous chunks of ``items``, gathered in order.
-
-            The ``pool.map`` gather is the sync-point barrier: no chunk's
-            result is consumed until every chunk of the round has finished.
-            """
-            chunks = [items[piece] for piece in shard_slices(len(items), threads)]
-            if pool is None or len(chunks) <= 1:
-                return [result for chunk in chunks for result in worker(chunk)]
-            return [result for part in pool.map(worker, chunks) for result in part]
 
         def answer_round(batch):
             responses: dict[int, object] = {}
             ranks, observes = partition_requests(batch)
-            # Async-trained frameworks are excluded from lockstep fusion: their
-            # decisions and training must route through the trainer loop (the
-            # serial fallback below), not the inline fused store/train path.
+            # Every framework decides through the fused path (it scores with
+            # what each trainer decides with).  Async-trained frameworks are
+            # excluded from fused training: their feedback must go through the
+            # trainer loop (the serial fallback below), not the inline fused
+            # store/train path.
             fused_ranks = [
                 (index, request)
                 for index, request in ranks
                 if isinstance(policies[index], TaskArrangementFramework)
-                and not policies[index].config.async_training
             ]
             if fused_ranks:
-                rankings = chunked(
-                    [(policies[index], request[1]) for index, request in fused_ranks],
-                    decide_lockstep,
+                rankings = decide_lockstep(
+                    [(policies[index], request[1]) for index, request in fused_ranks]
                 )
                 for (index, _), ranking in zip(fused_ranks, rankings):
                     responses[index] = ranking
@@ -736,17 +688,11 @@ class VectorizedRunner:
                 and not policies[index].config.async_training
             ]
             if fused_observes:
-
-                def observe_chunk(chunk):
-                    observe_lockstep(chunk)
-                    return [None] * len(chunk)
-
-                chunked(
+                observe_lockstep(
                     [
                         (policies[index], request[1], request[2], request[3])
                         for index, request in fused_observes
-                    ],
-                    observe_chunk,
+                    ]
                 )
                 for index, _ in fused_observes:
                     responses[index] = None
@@ -757,11 +703,7 @@ class VectorizedRunner:
                     responses[index] = None
             return responses
 
-        try:
-            return lockstep.run(answer_round)  # type: ignore[return-value]
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+        return lockstep.run(answer_round)  # type: ignore[return-value]
 
 
 def evaluate_policy(

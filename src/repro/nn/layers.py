@@ -190,9 +190,9 @@ class Linear(Module):
         # per-batch-item product makes every row batch-slice stable.  The
         # serial path is one-replica lockstep (:mod:`repro.core.stacked`),
         # whose grouped forwards pad batches along the batch axis, so the
-        # serial numbers rely on that stability (and so does the exact
-        # decision sharding); the loop of tiny ``(rows, K) @ (K, 1)``
-        # products is cheap next to the hidden-layer GEMMs.
+        # serial numbers rely on that stability; the loop of tiny
+        # ``(rows, K) @ (K, 1)`` products is cheap next to the hidden-layer
+        # GEMMs.
         lead = x.shape[:-1]
         collapse = x.ndim > 2 and self.out_features > 1
         if collapse:

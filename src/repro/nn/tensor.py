@@ -32,10 +32,11 @@ _PRESERVED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 class _GradMode(threading.local):
     """Per-thread autograd switch (mirrors torch.no_grad semantics).
 
-    Thread-local rather than a module global: the lockstep replica threads
-    and the decision-sharding thread pool enter/exit ``no_grad`` concurrently,
-    and a shared flag would let one thread's inference scope strand training
-    on another thread with gradient tracking silently disabled.
+    Thread-local rather than a module global: an
+    :class:`~repro.core.trainer.AsyncTrainer` builds gradient graphs on its
+    background thread while the decision thread may run inference under
+    ``no_grad``, and a shared flag would let the decision thread's inference
+    scope silently disable gradient tracking in the concurrent train step.
     """
 
     def __init__(self) -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -31,17 +30,16 @@ __all__ = [
     "blas_threads",
     "thread_info",
     "max_threads",
-    "budgeted_workers",
     "shard_blas_threads",
 ]
 
 #: Environment variable applied once at import (see :func:`_apply_env`).
 ENV_VAR = "REPRO_NUM_THREADS"
 
-#: Overrides the machine-wide thread budget used by :func:`budgeted_workers`
-#: (defaults to ``os.cpu_count()``).  The scale-out layer multiplies worker
-#: counts — serve shards × replica threads × BLAS threads — and clamps the
-#: product to this budget so composed parallelism never oversubscribes.
+#: Overrides the machine-wide thread budget returned by :func:`max_threads`
+#: (defaults to ``os.cpu_count()``).  Sharded serving divides it among its
+#: worker processes (:func:`shard_blas_threads`) so shards × BLAS threads
+#: never oversubscribes the box.
 BUDGET_ENV_VAR = "REPRO_MAX_THREADS"
 
 #: (set, get) symbol-name pairs of the BLAS runtimes numpy is known to bundle.
@@ -141,7 +139,7 @@ def thread_info() -> dict:
 
 
 def max_threads() -> int:
-    """The machine-wide thread budget the scale-out knobs share.
+    """The machine-wide thread budget sharded serving divides among shards.
 
     ``REPRO_MAX_THREADS`` (a positive integer) overrides; otherwise
     ``os.cpu_count()`` (at least 1).  Invalid override values are ignored,
@@ -156,34 +154,6 @@ def max_threads() -> int:
         if count > 0:
             return count
     return os.cpu_count() or 1
-
-
-def budgeted_workers(requested: int, concurrent: int = 1, label: str = "workers") -> int:
-    """Clamp a worker count so composed parallelism respects the thread budget.
-
-    ``requested`` workers each running alongside ``concurrent - 1`` sibling
-    units (e.g. replica threads × BLAS threads per thread, or shards × BLAS
-    threads per shard) would occupy ``requested × concurrent`` cores.  When
-    that product exceeds :func:`max_threads` the request is clamped with a
-    warning — oversubscription turns BLAS fan-out into scheduler thrash —
-    but never below 1.
-    """
-    if requested < 1:
-        raise ValueError(f"{label} must be >= 1, got {requested}")
-    if concurrent < 1:
-        raise ValueError(f"concurrent units must be >= 1, got {concurrent}")
-    budget = max_threads()
-    if requested * concurrent <= budget:
-        return requested
-    allowed = max(1, budget // concurrent)
-    warnings.warn(
-        f"requested {requested} {label} x {concurrent} concurrent thread(s) "
-        f"exceeds the thread budget of {budget} "
-        f"(os.cpu_count / {BUDGET_ENV_VAR}); clamping to {allowed}",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return allowed
 
 
 def shard_blas_threads(shards: int) -> int:

@@ -11,16 +11,14 @@ future; the flush runs via ``loop.call_soon``, i.e. after every pump that is
 ready this tick has registered) and answers them through
 :func:`decide_batch`, which routes each tenant by policy type:
 
-* synchronously trained frameworks go through the offline
-  :func:`repro.core.vectorized.decide_lockstep` path — per-tenant results
-  are bit-identical to the serial ``rank_tasks`` call regardless of batch
-  composition (pinned by the vectorized-equivalence tests), so batching can
-  never perturb a tenant's trajectory or its warm-restart equivalence;
-* asynchronously trained frameworks decide on their
-  :class:`~repro.core.trainer.SnapshotNetwork`\\ s; their scorings go
-  through the same :func:`repro.core.stacked.fused_q_values` grouper with
-  each snapshot's parameter views in place of the live weights (each result
-  bit-identical to that snapshot's own forward);
+* frameworks go through the offline
+  :func:`repro.core.vectorized.decide_lockstep` path, which scores each
+  agent with what its trainer decides with (live weights for inline
+  training, the :class:`~repro.core.trainer.SnapshotNetwork` parameters for
+  async training).  Per-tenant results are bit-identical to the serial
+  ``rank_tasks`` call regardless of batch composition (pinned by the
+  vectorized-equivalence tests), so batching can never perturb a tenant's
+  trajectory or its warm-restart equivalence;
 * everything else (baselines) answers serially via ``rank_tasks``.
 """
 
@@ -29,58 +27,11 @@ from __future__ import annotations
 import asyncio
 from typing import Sequence
 
-import numpy as np
-
 from ..core.framework import TaskArrangementFramework
-from ..core.qnetwork import SetQNetwork
-from ..core.stacked import fused_q_values
-from ..core.state import StateMatrix
 from ..core.vectorized import decide_lockstep
 from ..crowd.platform import ArrivalContext
 
-__all__ = ["RankBatcher", "decide_batch", "decide_snapshots"]
-
-
-def decide_snapshots(
-    pairs: Sequence[tuple[TaskArrangementFramework, ArrivalContext]]
-) -> list[list[int]]:
-    """Rank one arrival per async-trained framework, fusing snapshot forwards.
-
-    Equivalent to ``[framework.rank_tasks(context) for …]`` in async mode:
-    each framework's ``before_decision`` hook runs first (snapshot refresh in
-    free-running mode, the consumption barrier under a fixed handoff lag),
-    then the snapshot scorings are fused across frameworks and exploration /
-    pending bookkeeping runs per framework on its own RNG.
-    """
-    for framework, _ in pairs:
-        framework.trainer.before_decision()
-    states = [framework._build_states(context) for framework, context in pairs]
-    jobs: list[tuple[SetQNetwork, StateMatrix]] = []
-    parameters: list[dict[str, np.ndarray]] = []
-    owners: list[tuple[int, str]] = []
-    for slot, ((framework, _), (state_w, state_r)) in enumerate(zip(pairs, states)):
-        snapshots = framework.trainer._snapshots
-        for role, agent, state in (
-            ("w", framework.agent_w, state_w),
-            ("r", framework.agent_r, state_r),
-        ):
-            if agent is not None:
-                snapshot = snapshots[id(agent)]
-                jobs.append((snapshot.network, state))
-                parameters.append(snapshot.parameters)
-                owners.append((slot, role))
-    scored = fused_q_values(jobs, parameters)
-    worker_q: list[np.ndarray | None] = [None] * len(pairs)
-    requester_q: list[np.ndarray | None] = [None] * len(pairs)
-    for (slot, role), values in zip(owners, scored):
-        if role == "w":
-            worker_q[slot] = values
-        else:
-            requester_q[slot] = values
-    return [
-        framework._decide(context, state_w, state_r, worker_q[slot], requester_q[slot])
-        for slot, ((framework, context), (state_w, state_r)) in enumerate(zip(pairs, states))
-    ]
+__all__ = ["RankBatcher", "decide_batch"]
 
 
 def decide_batch(entries: Sequence[tuple[object, ArrivalContext]]) -> list[list[int]]:
@@ -88,33 +39,20 @@ def decide_batch(entries: Sequence[tuple[object, ArrivalContext]]) -> list[list[
 
     ``entries`` holds ``(tenant, context)`` pairs (any object with a
     ``policy`` attribute works).  Returns the rankings in entry order; every
-    ranking equals the serial ``policy.rank_tasks(context)`` (sync
-    frameworks: bit-identical; async frameworks: identical given the same
-    snapshot contents; baselines: the serial call itself).
+    ranking equals the serial ``policy.rank_tasks(context)`` (frameworks:
+    bit-identical, given the same snapshot contents in async mode;
+    baselines: the serial call itself).
     """
     rankings: list[list[int] | None] = [None] * len(entries)
-    sync_slots: list[int] = []
-    async_slots: list[int] = []
+    fused: list[int] = []
     for slot, (tenant, context) in enumerate(entries):
-        policy = tenant.policy
-        if isinstance(policy, TaskArrangementFramework):
-            if policy.config.async_training:
-                async_slots.append(slot)
-            else:
-                sync_slots.append(slot)
+        if isinstance(tenant.policy, TaskArrangementFramework):
+            fused.append(slot)
         else:
-            rankings[slot] = policy.rank_tasks(context)
-    if sync_slots:
-        fused = decide_lockstep(
-            [(entries[slot][0].policy, entries[slot][1]) for slot in sync_slots]
-        )
-        for slot, ranking in zip(sync_slots, fused):
-            rankings[slot] = ranking
-    if async_slots:
-        fused = decide_snapshots(
-            [(entries[slot][0].policy, entries[slot][1]) for slot in async_slots]
-        )
-        for slot, ranking in zip(async_slots, fused):
+            rankings[slot] = tenant.policy.rank_tasks(context)
+    if fused:
+        decided = decide_lockstep([(entries[slot][0].policy, entries[slot][1]) for slot in fused])
+        for slot, ranking in zip(fused, decided):
             rankings[slot] = ranking
     return rankings  # type: ignore[return-value]
 

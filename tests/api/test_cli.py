@@ -220,3 +220,15 @@ def test_cli_sweep_run_vectorized(tmp_path):
     )
     assert completed.returncode == 0, completed.stderr
     assert (sweep_dir / "results.json").exists()
+
+
+def test_bench_parser_accepts_async_and_blas_threads():
+    from repro.api.cli import _build_parser
+
+    parser = _build_parser()
+    args = parser.parse_args(
+        ["bench", "--suite", "endtoend", "--preset", "ci", "--async", "--blas-threads", "2"]
+    )
+    assert args.async_training and args.blas_threads == 2 and args.preset == "ci"
+    args = parser.parse_args(["bench"])
+    assert not args.async_training and args.blas_threads is None

@@ -7,6 +7,8 @@ bookkeeping — and the decision-only replay in the runner must rank every
 online arrival regardless of batch size.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,9 @@ from repro.core import FrameworkConfig, TaskArrangementFramework
 from repro.crowd.entities import MINUTES_PER_DAY
 from repro.datasets import generate_crowdspring, scalability_snapshot
 from repro.eval import RunnerConfig, SimulationRunner
+from repro.serve.batching import decide_batch
 
-from test_checkpoint import make_context, snapshot  # noqa: F401 (fixture)
+from test_checkpoint import drive, make_context, snapshot  # noqa: F401 (fixture)
 
 TINY = dict(hidden_dim=16, num_heads=2, batch_size=8, train_interval=1, seed=5)
 
@@ -127,3 +130,72 @@ class TestReplayDecisions:
         runner = SimulationRunner(dataset, RunnerConfig(seed=0))
         with pytest.raises(ValueError, match="batch_size"):
             runner.replay_decisions(RandomPolicy(seed=0), batch_size=0)
+
+
+class TestDecideBatch:
+    """One tick's fused decisions equal each tenant's serial ``rank_tasks``.
+
+    Inline-trained frameworks score their live networks and async-trained
+    ones their snapshots (``async_handoff_lag=0`` makes the snapshot
+    contents deterministic); both stack into shared forwards, and baselines
+    answer serially.
+    """
+
+    def tenants(self, schema):
+        async_config = dict(TINY, async_training=True, async_handoff_lag=0)
+        return [
+            SimpleNamespace(policy=policy)
+            for policy in (
+                make_framework(schema),
+                make_framework(schema, **dict(async_config, seed=6)),
+                RandomPolicy(seed=3),
+                TaskArrangementFramework.worker_only(schema, FrameworkConfig(**async_config)),
+            )
+        ]
+
+    def test_mixed_tenants_match_serial_rank_tasks(self, snapshot):
+        _, _, schema, _ = snapshot
+        fused, serial = self.tenants(schema), self.tenants(schema)
+        try:
+            for round_index in range(4):
+                start = MINUTES_PER_DAY + 100.0 * round_index
+                # Train every framework a little so snapshots and live
+                # weights move away from their initialisation.
+                for group in (fused, serial):
+                    for tenant in group:
+                        if isinstance(tenant.policy, TaskArrangementFramework):
+                            drive(tenant.policy, snapshot, start, 8)
+                context = make_context(snapshot, start + 50.0)
+                expected = [tenant.policy.rank_tasks(context) for tenant in serial]
+                assert decide_batch([(tenant, context) for tenant in fused]) == expected
+                key = (context.timestamp, context.worker.worker_id)
+                for one, two in zip(fused, serial):
+                    if isinstance(one.policy, TaskArrangementFramework):
+                        for field in ("worker_q", "requester_q"):
+                            a = getattr(one.policy._pending[key], field)
+                            b = getattr(two.policy._pending[key], field)
+                            assert (a is None and b is None) or np.array_equal(a, b)
+        finally:
+            for tenant in fused + serial:
+                if isinstance(tenant.policy, TaskArrangementFramework):
+                    tenant.policy.trainer.close()
+
+    def test_async_tenants_score_their_snapshots_not_live_weights(self, snapshot):
+        _, _, schema, _ = snapshot
+        # Free-running with no feedback: the snapshot never refreshes, so
+        # moving the live weights must not change any decision.
+        fused, serial = (
+            SimpleNamespace(policy=make_framework(schema, async_training=True)) for _ in range(2)
+        )
+        try:
+            for tenant in (fused, serial):
+                rng = np.random.default_rng(0)
+                for agent in (tenant.policy.agent_w, tenant.policy.agent_r):
+                    for param in agent.network.parameters():
+                        param.data += rng.standard_normal(param.data.shape)
+            for step in range(6):
+                context = make_context(snapshot, MINUTES_PER_DAY + 7.0 * step)
+                assert decide_batch([(fused, context)]) == [serial.policy.rank_tasks(context)]
+        finally:
+            fused.policy.trainer.close()
+            serial.policy.trainer.close()

@@ -198,69 +198,3 @@ class TestVectorizedCheckpointRoundTrip:
                     serial_state[key]["learner"]["online"][name],
                     vector_state[key]["learner"]["online"][name],
                 ), name
-
-
-class TestReplicaThreads:
-    """``replica_threads=T`` is float-identical to the single-threaded run.
-
-    Each replica group's lockstep call is bit-identical per replica to the
-    serial call it replaces and the round boundary is a barrier, so the
-    thread pool changes wall-clock only — never a bit of any result.
-    """
-
-    def test_threaded_lockstep_is_bit_identical(self, datasets, monkeypatch):
-        # This box may have a single core; the budget guard would clamp the
-        # pool to one thread and the test would not exercise it.
-        monkeypatch.setenv("REPRO_MAX_THREADS", "4")
-        replicas = lambda: [  # noqa: E731 - fresh policies per run
-            (dataset, build_policy("ddqn-worker", dataset, **TINY_DDQN))
-            for dataset in datasets
-        ]
-        single = VectorizedRunner(replicas(), CONFIG, replica_threads=1).run()
-        threaded = VectorizedRunner(replicas(), CONFIG, replica_threads=2).run()
-        ragged = VectorizedRunner(replicas(), CONFIG, replica_threads=3).run()
-        for one, two, three in zip(single, threaded, ragged):
-            assert_results_identical(one, two)
-            assert_results_identical(one, three)
-
-    def test_threaded_parameters_match_single_threaded(self, datasets, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_THREADS", "4")
-
-        def final_states(threads):
-            runner = VectorizedRunner(
-                [
-                    (dataset, build_policy("ddqn-worker", dataset, **TINY_DDQN))
-                    for dataset in datasets
-                ],
-                CONFIG,
-                replica_threads=threads,
-            )
-            runner.run()
-            return [policy.state_dict() for policy in runner.policies]
-
-        for state_a, state_b in zip(final_states(1), final_states(2)):
-            online_a = state_a["agent_w"]["learner"]["online"]
-            online_b = state_b["agent_w"]["learner"]["online"]
-            for name in online_a:
-                assert np.array_equal(online_a[name], online_b[name]), name
-
-    def test_requested_threads_clamp_to_budget_with_warning(self, datasets, monkeypatch):
-        monkeypatch.setenv("REPRO_MAX_THREADS", "1")
-        runner = VectorizedRunner(
-            [
-                (dataset, build_policy("random", dataset, seed=0))
-                for dataset in datasets
-            ],
-            CONFIG,
-            replica_threads=4,
-        )
-        with pytest.warns(RuntimeWarning, match="thread budget"):
-            assert runner._effective_threads() == 1
-
-    def test_invalid_replica_threads_rejected(self, datasets):
-        with pytest.raises(ValueError, match="replica_threads"):
-            VectorizedRunner(
-                [(datasets[0], build_policy("random", datasets[0], seed=0))],
-                CONFIG,
-                replica_threads=0,
-            )

@@ -1,5 +1,7 @@
 """Unit tests for the autograd tensor: forward values and gradients."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,29 @@ class TestNoGrad:
             out = t * 2
         assert is_grad_enabled()
         assert not out.requires_grad
+
+    def test_no_grad_is_thread_local(self):
+        # An async trainer thread keeps building gradient graphs while the
+        # decision thread runs inference under no_grad.
+        entered = threading.Event()
+        release = threading.Event()
+
+        def infer():
+            with no_grad():
+                entered.set()
+                release.wait(timeout=10)
+
+        worker = threading.Thread(target=infer)
+        worker.start()
+        try:
+            assert entered.wait(timeout=10)
+            assert is_grad_enabled()
+            x = Tensor(np.ones(3), requires_grad=True)
+            assert (x * 2.0).requires_grad
+        finally:
+            release.set()
+            worker.join(timeout=10)
+        assert is_grad_enabled()
 
     def test_no_grad_restores_state_after_exception(self):
         try:

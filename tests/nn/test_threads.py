@@ -97,26 +97,6 @@ class TestThreadBudget:
 
             assert threads.max_threads() == (os.cpu_count() or 1)
 
-    def test_budgeted_workers_passes_within_budget(self, monkeypatch):
-        monkeypatch.setenv(threads.BUDGET_ENV_VAR, "8")
-        assert threads.budgeted_workers(4, concurrent=2) == 4
-
-    def test_budgeted_workers_clamps_with_warning(self, monkeypatch):
-        monkeypatch.setenv(threads.BUDGET_ENV_VAR, "4")
-        with pytest.warns(RuntimeWarning, match="thread budget"):
-            assert threads.budgeted_workers(8, concurrent=2, label="replica threads") == 2
-
-    def test_budgeted_workers_never_clamps_below_one(self, monkeypatch):
-        monkeypatch.setenv(threads.BUDGET_ENV_VAR, "1")
-        with pytest.warns(RuntimeWarning):
-            assert threads.budgeted_workers(4, concurrent=3) == 1
-
-    def test_budgeted_workers_rejects_invalid_arguments(self):
-        with pytest.raises(ValueError, match="workers"):
-            threads.budgeted_workers(0)
-        with pytest.raises(ValueError, match="concurrent"):
-            threads.budgeted_workers(2, concurrent=0)
-
     def test_shard_blas_threads_splits_the_budget(self, monkeypatch):
         monkeypatch.setenv(threads.BUDGET_ENV_VAR, "8")
         assert threads.shard_blas_threads(2) == 4
