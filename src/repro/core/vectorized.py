@@ -68,15 +68,20 @@ def decide_lockstep(
     async snapshot's parameters).  Exploration noise, pending-decision
     bookkeeping and annealing then run per framework on its own RNG, in
     order; only the (RNG-free) Q-value forwards are batched across
-    frameworks.
+    frameworks.  An empty pool ranks as ``[]`` and, as in ``rank_tasks``,
+    touches neither the trainer nor the framework's decision state.
     """
-    for framework, _ in pairs:
-        framework.trainer.before_decision()
-    states = [framework._build_states(context) for framework, context in pairs]
+    rankings: list[list[int]] = [[] for _ in pairs]
+    active = [slot for slot, (_, context) in enumerate(pairs) if context.available_tasks]
+    for slot in active:
+        pairs[slot][0].trainer.before_decision()
+    states = {slot: pairs[slot][0]._build_states(pairs[slot][1]) for slot in active}
     scoring_jobs: list[tuple[SetQNetwork, StateMatrix]] = []
     parameters: list[dict[str, np.ndarray] | None] = []
     owners: list[tuple[int, str]] = []
-    for slot, ((framework, _), (state_w, state_r)) in enumerate(zip(pairs, states)):
+    for slot in active:
+        framework = pairs[slot][0]
+        state_w, state_r = states[slot]
         for role, agent, state in (
             ("w", framework.agent_w, state_w),
             ("r", framework.agent_r, state_r),
@@ -94,10 +99,13 @@ def decide_lockstep(
             worker_q[slot] = values
         else:
             requester_q[slot] = values
-    return [
-        framework._decide(context, state_w, state_r, worker_q[slot], requester_q[slot])
-        for slot, ((framework, context), (state_w, state_r)) in enumerate(zip(pairs, states))
-    ]
+    for slot in active:
+        framework, context = pairs[slot]
+        state_w, state_r = states[slot]
+        rankings[slot] = framework._decide(
+            context, state_w, state_r, worker_q[slot], requester_q[slot]
+        )
+    return rankings
 
 
 # --------------------------------------------------------------------- #

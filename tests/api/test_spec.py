@@ -163,3 +163,41 @@ class TestRunSpec:
         dataset = spec.dataset.build()
         results = run_spec(spec, dataset=dataset)
         assert set(results) == {"Random", "Greedy CS"}
+
+
+class TestRunSpecIsolation:
+    """Policies sharing one spec and dataset never see each other's state:
+    each result equals the one its policy produces alone."""
+
+    POLICIES = [
+        PolicySpec(
+            "ddqn-worker",
+            {"hidden_dim": 8, "num_heads": 2, "batch_size": 4, "seed": 0, "max_tasks": 12},
+        ),
+        PolicySpec("random", {"seed": 0}),
+        PolicySpec("greedy-cosine", {"objective": "worker"}),
+    ]
+
+    @staticmethod
+    def spec(policies) -> ExperimentSpec:
+        return ExperimentSpec(
+            name="isolation",
+            dataset=DatasetSpec(scale=0.03, num_months=2, seed=1),
+            runner=RunnerConfig(seed=0, max_arrivals=25, max_warmup_observations=12),
+            policies=list(policies),
+        )
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return self.spec(self.POLICIES).dataset.build()
+
+    @pytest.fixture(scope="class")
+    def together(self, dataset):
+        return run_spec(self.spec(self.POLICIES), dataset=dataset)
+
+    @pytest.mark.parametrize("index", range(len(POLICIES)))
+    def test_result_equals_the_solo_run(self, dataset, together, index):
+        from tests.eval.test_determinism import assert_results_identical
+
+        [(label, alone)] = run_spec(self.spec([self.POLICIES[index]]), dataset=dataset).items()
+        assert_results_identical(together[label], alone)

@@ -198,3 +198,62 @@ class TestVectorizedCheckpointRoundTrip:
                     serial_state[key]["learner"]["online"][name],
                     vector_state[key]["learner"]["online"][name],
                 ), name
+
+
+def assert_trees_equal(a, b, path: str = "") -> None:
+    """Nested ``state_dict`` trees match exactly, arrays bitwise."""
+    if isinstance(a, dict):
+        assert isinstance(b, dict) and a.keys() == b.keys(), path
+        for key in a:
+            assert_trees_equal(a[key], b[key], f"{path}/{key}")
+    elif isinstance(a, np.ndarray):
+        assert np.array_equal(a, b), path
+    else:
+        assert a == b, path
+
+
+class TestLockstepFinalState:
+    """Beyond the reported measures, lockstep leaves every replica's learner
+    (online and target networks, Adam moments), RNG and explorer exactly where
+    its serial run leaves them — so a run may continue either way."""
+
+    @staticmethod
+    def learning_state(policy) -> dict:
+        state = policy.state_dict()
+        tree = {key: state[key] for key in ("rng_state", "explorer", "assign_explorer")}
+        for agent in ("agent_w", "agent_r"):
+            if state.get(agent) is not None:
+                tree[agent] = state[agent]["learner"]
+        return tree
+
+    @pytest.mark.parametrize("name", ["ddqn", "ddqn-worker", "ddqn-requester"])
+    def test_four_replicas_end_in_the_serial_state(self, datasets, name):
+        serial = [build_policy(name, dataset, **TINY_DDQN) for dataset in datasets]
+        for dataset, policy in zip(datasets, serial):
+            SimulationRunner(dataset, CONFIG).run(policy)
+        runner = VectorizedRunner(
+            [(dataset, build_policy(name, dataset, **TINY_DDQN)) for dataset in datasets],
+            CONFIG,
+        )
+        runner.run()
+        for serial_policy, lockstep_policy in zip(serial, runner.policies):
+            assert_trees_equal(
+                self.learning_state(serial_policy), self.learning_state(lockstep_policy)
+            )
+
+    def test_replica_order_does_not_change_any_result(self, datasets):
+        """Fused calls couple no replicas: reordering them changes no bit."""
+
+        def run(order):
+            return VectorizedRunner(
+                [
+                    (datasets[i], build_policy("ddqn-worker", datasets[i], **TINY_DDQN))
+                    for i in order
+                ],
+                CONFIG,
+            ).run()
+
+        forward = run([0, 1, 2, 3])
+        backward = run([3, 2, 1, 0])
+        for result, twin in zip(forward, reversed(backward)):
+            assert_results_identical(result, twin)

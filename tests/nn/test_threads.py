@@ -78,7 +78,7 @@ class TestUncontrollableFallback:
 
 
 class TestThreadBudget:
-    """The shared scale-out budget: shards × replicas × BLAS never oversubscribes."""
+    """The shared scale-out budget: shards × BLAS threads never oversubscribes."""
 
     def test_max_threads_defaults_to_cpu_count(self, monkeypatch):
         monkeypatch.delenv(threads.BUDGET_ENV_VAR, raising=False)
@@ -104,3 +104,13 @@ class TestThreadBudget:
         assert threads.shard_blas_threads(16) == 1  # floor at one thread
         with pytest.raises(ValueError, match="shards"):
             threads.shard_blas_threads(0)
+
+    def test_shards_times_blas_threads_stays_within_budget(self, monkeypatch):
+        for budget in range(1, 17):
+            monkeypatch.setenv(threads.BUDGET_ENV_VAR, str(budget))
+            for shards in range(1, budget + 1):
+                per_shard = threads.shard_blas_threads(shards)
+                assert per_shard >= 1
+                assert shards * per_shard <= budget, (budget, shards)
+                # No idle share: one more thread per shard would overrun.
+                assert shards * (per_shard + 1) > budget, (budget, shards)
